@@ -977,6 +977,32 @@ mod tests {
     }
 
     #[test]
+    fn trace_summary_reads_ascii_escaped_names() {
+        // Python's `json.dumps` escapes non-ASCII by default, writing
+        // astral characters as UTF-16 surrogate pairs.
+        let doc = |name: &str| {
+            format!(
+                r#"{{"schema":"{FLEET_TRACE_SCHEMA}","name":"x","bucket_s":60.0,"buckets":1,"apps":[{{"name":"{name}","profile":"p","invocations":[1]}}]}}"#
+            )
+        };
+        let summary = TraceSummary::from_json(&doc(r"\ud83d\ude00 caf\u00e9")).unwrap();
+        assert_eq!(summary.apps[0].name, "😀 café");
+        assert_eq!(
+            TraceSummary::from_json(&summary.to_json()).unwrap(),
+            summary
+        );
+        for lone in [r"\ud83d", r"\ude00", r"\ud83dA"] {
+            assert!(
+                matches!(
+                    TraceSummary::from_json(&doc(lone)),
+                    Err(FleetError::Parse(_))
+                ),
+                "{lone}"
+            );
+        }
+    }
+
+    #[test]
     fn trace_summary_rejects_schema_and_truncation() {
         let err = TraceSummary::from_json(r#"{"schema":"other/v9","name":"x","bucket_s":60.0,"buckets":1,"apps":[{"name":"a","profile":"p","invocations":[1]}]}"#)
             .unwrap_err();

@@ -4,8 +4,8 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
-cargo clippy --all-targets -- -D warnings
+cargo test -q --workspace
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Trace round-trip smoke: a recorded run must emit a JSONL trace the
 # explorer can parse, with event counts that cross-check exactly.
