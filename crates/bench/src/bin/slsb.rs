@@ -25,7 +25,7 @@ use slsb_core::{
     SloSample, SloSpec, Table, WorkloadSpec, FLEET_CELLS,
 };
 use slsb_model::{ModelKind, RuntimeKind};
-use slsb_obs::{set_log_level, trace_view, JsonlRecorder, Profile};
+use slsb_obs::{set_log_level, trace_view, JsonlRecorder, MetricsRegistry, Profile, Recorder};
 use slsb_platform::{FaultPlan, PlatformKind, PolicySet};
 use slsb_sim::Seed;
 use slsb_workload::{MmppPreset, TraceSummary};
@@ -77,7 +77,9 @@ replays a multi-tenant fleet: every app gets its own platform and RNG
 substreams, arrivals stream through a lazy k-way merge (memory stays
 O(apps), not O(requests)), and --jobs/--shards both map to one worker
 budget with byte-identical results for every value; --scale F scales a
-synthesized fleet's duration.
+synthesized fleet's duration. Flags a mode cannot honour are errors, never
+ignored: a single-deployment run refuses --jobs (its worker budget is
+--shards) and --scale; a fleet run refuses --faults, --retry and --slo.
 fleet ingest converts a raw per-app trace summary (schema'd JSON or
 'app,profile,bucket,invocations' CSV) into the canonical
 slsb-fleet-trace/v1 document that fleet scenarios replay.
@@ -437,18 +439,34 @@ fn parse_run_args(rest: &[String]) -> Result<(String, RunOptions), String> {
     }
 }
 
-fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // A scenario with a top-level "fleet" block is a multi-tenant fleet
-    // run; `--fleet` forces the interpretation for hand-rolled files.
-    let is_fleet = opts.fleet || has_fleet_key(&json);
-    if is_fleet {
-        return cmd_run_fleet(path, &json, opts);
+/// Refuses every flag a fleet (`fleet`) or single-deployment run would
+/// otherwise drop: each `slsb run` flag is either honoured or rejected in
+/// every mode, never silently ignored.
+fn check_run_flags(fleet: bool, opts: &RunOptions) -> Result<(), String> {
+    if fleet {
+        if opts.faults.is_some() || opts.retry.is_some() {
+            return Err("fleet runs do not support --faults/--retry".into());
+        }
+        if opts.slo.is_some() {
+            return Err("fleet runs do not support --slo: fleet SLO scoring waits for a \
+                        metrics schema shared with single-deployment runs"
+                .into());
+        }
+    } else {
+        if opts.jobs.is_some() {
+            return Err("--jobs applies to fleet scenarios only: a single-deployment run \
+                        is one simulation; use --shards N as its worker budget"
+                .into());
+        }
+        if opts.scale.is_some() {
+            return Err("--scale applies to fleet scenarios only".into());
+        }
     }
-    if opts.scale.is_some() {
-        return Err("--scale applies to fleet scenarios only".into());
-    }
-    let mut scenario = Scenario::from_json(&json).map_err(|e| e.to_string())?;
+    Ok(())
+}
+
+/// Applies the scenario-level flags of a single-deployment run.
+fn apply_run_flags(scenario: &mut Scenario, opts: &RunOptions) -> Result<(), String> {
     if let Some(faults_path) = &opts.faults {
         let text = std::fs::read_to_string(faults_path)
             .map_err(|e| format!("cannot read {faults_path}: {e}"))?;
@@ -474,76 +492,62 @@ fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
     if let Some(policy) = opts.policy {
         scenario.policy = Some(policy);
     }
-    // The profiler is enabled only when a sink was requested: the disabled
-    // path is one relaxed atomic load per guard, and trace bytes are
-    // identical either way.
+    Ok(())
+}
+
+/// Applies the scenario-level flags of a fleet run and returns its worker
+/// budget: `--jobs` and `--shards` both set it.
+fn apply_fleet_flags(scenario: &mut FleetScenario, opts: &RunOptions) -> Result<usize, String> {
+    if let Some(seed) = opts.seed {
+        scenario.seed = seed;
+    }
+    if let Some(f) = opts.scale {
+        scenario.scale_duration(f).map_err(|e| e.to_string())?;
+    }
+    if let Some(policy) = opts.policy {
+        scenario.policy = Some(policy);
+    }
+    Ok(opts.jobs.unwrap_or(1).max(opts.shards.unwrap_or(1)))
+}
+
+/// Runs `run` under the sinks `opts` asks for — the self-profiler when
+/// `--profile` is set (the disabled path is one relaxed atomic load per
+/// guard, and trace bytes are identical either way), and a JSONL recorder
+/// on `--trace`'s file — then hands the result and the trace event count
+/// to `report`, and writes the metrics it returns to `--metrics-out` and
+/// the profile to `--profile`.
+fn run_with_sinks<T>(
+    opts: &RunOptions,
+    run: impl FnOnce(Option<&mut dyn Recorder>) -> Result<T, String>,
+    report: impl FnOnce(T, Option<u64>) -> Result<MetricsRegistry, String>,
+) -> Result<(), String> {
     let profiling = opts.profile_out.is_some();
     if profiling {
         slsb_sim::prof::reset();
         slsb_sim::prof::enable(true);
     }
     let wall_start = std::time::Instant::now();
-    let mut trace_events = None;
-    let (run, a) = match opts.trace_out.as_deref() {
-        None => scenario.run().map_err(|e| e.to_string())?,
+    let (out, trace_events) = match opts.trace_out.as_deref() {
+        None => (run(None)?, None),
         Some(out_path) => {
             let file = std::fs::File::create(out_path)
                 .map_err(|e| format!("cannot create {out_path}: {e}"))?;
             // JsonlRecorder buffers internally, so the file goes in raw.
             let mut rec = JsonlRecorder::new(file);
-            let result = scenario.run_recorded(&mut rec).map_err(|e| e.to_string())?;
+            let out = run(Some(&mut rec))?;
             let written = rec
                 .finish()
                 .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            trace_events = Some(written);
-            result
+            (out, Some(written))
         }
     };
     let wall = wall_start.elapsed().as_secs_f64();
     if profiling {
         slsb_sim::prof::enable(false);
     }
-    println!("# {}\n", scenario.name);
-    println!("deployment    : {}", scenario.deployment.label());
-    println!("requests      : {}", a.total);
-    println!("success ratio : {}", fmt_pct(a.success_ratio));
-    println!("mean latency  : {}", fmt_opt_secs(a.mean_latency()));
-    println!("cost          : {}", fmt_money(a.cost.total()));
-    println!("cold starts   : {}", a.cold_started);
-    let oracle = oracle_bound(&run);
-    println!(
-        "oracle        : cold >= {} ({:.0}% of optimal), cost >= ${:.6} ({:.0}% of optimal)",
-        oracle.cold_starts,
-        oracle.cold_score(a.cold_started),
-        oracle.cost_dollars,
-        oracle.cost_score(a.cost.total().as_dollars()),
-    );
-    println!("plat. faults  : {}", a.faults);
-    println!("client faults : {}", a.client_faults);
-    println!("retries       : {}", a.retries);
-    println!("engine events : {}", run.engine_events);
-    if let Some(n) = trace_events {
-        println!("trace events  : {n}");
-    }
-    let series: Vec<(f64, Option<f64>)> = a.series.iter().map(|p| (p.at, p.mean_latency)).collect();
-    println!(
-        "\n{}",
-        ascii_chart("mean latency per 10s bucket (s)", &series, 8)
-    );
-    let slo_report = if scenario.slo.is_empty() {
-        None
-    } else {
-        let samples = slo_samples(&run);
-        let report = scenario.slo.evaluate(&samples, Some(a.cost_dollars()));
-        println!("{}", report.render());
-        Some(report)
-    };
+    let metrics = report(out, trace_events)?;
     if let Some(out) = &opts.metrics_out {
-        let mut m = run_metrics(&run);
-        if let Some(report) = &slo_report {
-            slo_metrics(&mut m, report);
-        }
-        let json = serde_json::to_string_pretty(&m).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string_pretty(&metrics).map_err(|e| e.to_string())?;
         std::fs::write(out, json + "\n").map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("metrics written to {out}");
     }
@@ -557,6 +561,64 @@ fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+fn cmd_run(path: &str, opts: &RunOptions) -> Result<(), String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    // A scenario with a top-level "fleet" block is a multi-tenant fleet
+    // run; `--fleet` forces the interpretation for hand-rolled files.
+    let fleet = opts.fleet || has_fleet_key(&json);
+    check_run_flags(fleet, opts)?;
+    if fleet {
+        return cmd_run_fleet(path, &json, opts);
+    }
+    let mut scenario = Scenario::from_json(&json).map_err(|e| e.to_string())?;
+    apply_run_flags(&mut scenario, opts)?;
+    let run = |rec: Option<&mut dyn Recorder>| {
+        match rec {
+            None => scenario.run(),
+            Some(rec) => scenario.run_recorded(rec),
+        }
+        .map_err(|e| e.to_string())
+    };
+    run_with_sinks(opts, run, |(run, a), trace_events| {
+        println!("# {}\n", scenario.name);
+        println!("deployment    : {}", scenario.deployment.label());
+        println!("requests      : {}", a.total);
+        println!("success ratio : {}", fmt_pct(a.success_ratio));
+        println!("mean latency  : {}", fmt_opt_secs(a.mean_latency()));
+        println!("cost          : {}", fmt_money(a.cost.total()));
+        println!("cold starts   : {}", a.cold_started);
+        let oracle = oracle_bound(&run);
+        println!(
+            "oracle        : cold >= {} ({:.0}% of optimal), cost >= ${:.6} ({:.0}% of optimal)",
+            oracle.cold_starts,
+            oracle.cold_score(a.cold_started),
+            oracle.cost_dollars,
+            oracle.cost_score(a.cost.total().as_dollars()),
+        );
+        println!("plat. faults  : {}", a.faults);
+        println!("client faults : {}", a.client_faults);
+        println!("retries       : {}", a.retries);
+        println!("engine events : {}", run.engine_events);
+        if let Some(n) = trace_events {
+            println!("trace events  : {n}");
+        }
+        let series: Vec<(f64, Option<f64>)> =
+            a.series.iter().map(|p| (p.at, p.mean_latency)).collect();
+        println!(
+            "\n{}",
+            ascii_chart("mean latency per 10s bucket (s)", &series, 8)
+        );
+        let mut m = run_metrics(&run);
+        if !scenario.slo.is_empty() {
+            let samples = slo_samples(&run);
+            let report = scenario.slo.evaluate(&samples, Some(a.cost_dollars()));
+            println!("{}", report.render());
+            slo_metrics(&mut m, &report);
+        }
+        Ok(m)
+    })
 }
 
 /// Whether the document carries a `"fleet"` *key* (the vendored
@@ -579,19 +641,8 @@ fn has_fleet_key(json: &str) -> bool {
 /// streaming arrival merge. `--jobs`/`--shards` both set the worker-thread
 /// budget; results are byte-identical for every value of either.
 fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String> {
-    if opts.faults.is_some() || opts.retry.is_some() {
-        return Err("fleet runs do not support --faults/--retry".into());
-    }
     let mut scenario = FleetScenario::from_json(json).map_err(|e| e.to_string())?;
-    if let Some(seed) = opts.seed {
-        scenario.seed = seed;
-    }
-    if let Some(f) = opts.scale {
-        scenario.scale_duration(f).map_err(|e| e.to_string())?;
-    }
-    if let Some(policy) = opts.policy {
-        scenario.policy = Some(policy);
-    }
+    let workers = apply_fleet_flags(&mut scenario, opts)?;
     // Trace documents resolve relative to the scenario file, so a scenario
     // directory stays relocatable.
     let trace_json = match scenario.trace_path() {
@@ -614,108 +665,74 @@ fn cmd_run_fleet(path: &str, json: &str, opts: &RunOptions) -> Result<(), String
     for w in &plan.warnings {
         eprintln!("warning: {w}");
     }
-    let workers = opts.jobs.unwrap_or(1).max(opts.shards.unwrap_or(1));
     let runner = FleetRunner::default().with_workers(workers);
     let seed = Seed(scenario.seed);
-    let profiling = opts.profile_out.is_some();
-    if profiling {
-        slsb_sim::prof::reset();
-        slsb_sim::prof::enable(true);
-    }
-    // Per-region allocation accounting: the executor-region figure below is
-    // the engine's own arrival-side footprint (per-app setup + streaming
-    // merge), which must stay O(apps) — flat in the request count.
-    slsb_sim::alloc::enable_breakdown(true);
-    slsb_sim::alloc::reset_region_counts();
-    let wall_start = std::time::Instant::now();
-    let mut trace_events = None;
-    let run = match opts.trace_out.as_deref() {
-        None => runner.run(&plan, seed).map_err(|e| e.to_string())?,
-        Some(out_path) => {
-            let file = std::fs::File::create(out_path)
-                .map_err(|e| format!("cannot create {out_path}: {e}"))?;
-            let mut rec = JsonlRecorder::new(file);
-            let result = runner
-                .run_recorded(&plan, seed, &mut rec)
-                .map_err(|e| e.to_string())?;
-            let written = rec
-                .finish()
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            trace_events = Some(written);
-            result
+    let run = |rec: Option<&mut dyn Recorder>| {
+        // Per-region allocation accounting: the executor-region figure is
+        // the engine's own arrival-side footprint (per-app setup + streaming
+        // merge), which must stay O(apps) — flat in the request count.
+        slsb_sim::alloc::enable_breakdown(true);
+        slsb_sim::alloc::reset_region_counts();
+        let run = match rec {
+            None => runner.run(&plan, seed),
+            Some(rec) => runner.run_recorded(&plan, seed, rec),
         }
+        .map_err(|e| e.to_string())?;
+        let arrival_allocs =
+            slsb_sim::alloc::region_counts()[slsb_sim::alloc::Region::Executor as usize];
+        slsb_sim::alloc::enable_breakdown(false);
+        Ok((run, arrival_allocs))
     };
-    let wall = wall_start.elapsed().as_secs_f64();
-    let region_allocs = slsb_sim::alloc::region_counts();
-    slsb_sim::alloc::enable_breakdown(false);
-    if profiling {
-        slsb_sim::prof::enable(false);
-    }
-    println!("# {} (fleet)\n", scenario.name);
-    println!("apps          : {}", run.apps.len());
-    println!("requests      : {}", run.requests);
-    println!("success ratio : {}", fmt_pct(run.success_ratio()));
-    println!("mean latency  : {}", fmt_opt_secs(run.latency.mean()));
-    println!("p99 latency   : {}", fmt_opt_secs(run.latency.quantile(99.0)));
-    println!("cost          : {}", fmt_money(run.platform.cost.total()));
-    println!("cold starts   : {}", run.platform.cold_started);
-    println!("engine events : {}", run.engine_events);
-    println!(
-        "arrival allocs: {}",
-        region_allocs[slsb_sim::alloc::Region::Executor as usize]
-    );
-    // The weighted partition's balance, in expected-request units. The
-    // verify.sh fleet smoke parses this line and asserts the LPT invariant
-    // (max cell <= 2x mean, unless a lone head app is the floor).
-    let part = FleetPartition::compute(&plan, FLEET_CELLS.min(run.apps.len()).max(1));
-    let bal = part.balance();
-    println!(
-        "cell balance  : {} cells, max {:.1} / mean {:.1} / max-app {:.1} ({})",
-        part.cells.len(),
-        bal.max_cell,
-        bal.mean_cell,
-        bal.max_app,
-        if bal.is_balanced() {
-            "balanced"
-        } else {
-            "imbalanced"
+    run_with_sinks(opts, run, |(run, arrival_allocs), trace_events| {
+        println!("# {} (fleet)\n", scenario.name);
+        println!("apps          : {}", run.apps.len());
+        println!("requests      : {}", run.requests);
+        println!("success ratio : {}", fmt_pct(run.success_ratio()));
+        println!("mean latency  : {}", fmt_opt_secs(run.latency.mean()));
+        println!("p99 latency   : {}", fmt_opt_secs(run.latency.quantile(99.0)));
+        println!("cost          : {}", fmt_money(run.platform.cost.total()));
+        println!("cold starts   : {}", run.platform.cold_started);
+        println!("engine events : {}", run.engine_events);
+        println!("arrival allocs: {arrival_allocs}");
+        // The weighted partition's balance, in expected-request units. The
+        // verify.sh fleet smoke parses this line and asserts the LPT
+        // invariant (max cell <= 2x mean, unless a lone head app is the
+        // floor).
+        let part = FleetPartition::compute(&plan, FLEET_CELLS.min(run.apps.len()).max(1));
+        let bal = part.balance();
+        println!(
+            "cell balance  : {} cells, max {:.1} / mean {:.1} / max-app {:.1} ({})",
+            part.cells.len(),
+            bal.max_cell,
+            bal.mean_cell,
+            bal.max_app,
+            if bal.is_balanced() {
+                "balanced"
+            } else {
+                "imbalanced"
+            }
+        );
+        if let Some(n) = trace_events {
+            println!("trace events  : {n}");
         }
-    );
-    if let Some(n) = trace_events {
-        println!("trace events  : {n}");
-    }
-    // The busiest tenants, Zipf's head.
-    let mut by_requests: Vec<&slsb_core::AppResult> = run.apps.iter().collect();
-    by_requests.sort_by(|a, b| b.requests.cmp(&a.requests).then(a.app.cmp(&b.app)));
-    println!("\ntop apps by requests:");
-    println!("  app        profile     requests       ok      p99     cost");
-    for a in by_requests.iter().take(5) {
-        println!(
-            "  {:<10} {:<10} {:>9} {:>8} {:>8} {:>8}",
-            a.name,
-            a.profile,
-            a.requests,
-            a.ok,
-            fmt_opt_secs(a.p99_s),
-            format!("${:.4}", a.cost_dollars),
-        );
-    }
-    if let Some(out) = &opts.metrics_out {
-        let m = fleet_metrics(&run);
-        let json = serde_json::to_string_pretty(&m).map_err(|e| e.to_string())?;
-        std::fs::write(out, json + "\n").map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("metrics written to {out}");
-    }
-    if let Some(out) = &opts.profile_out {
-        let profile = Profile::new(slsb_sim::prof::take(), wall);
-        std::fs::write(out, profile.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!(
-            "profile written to {out} ({:.1}% of {:.3}s wall attributed)",
-            profile.attributed_frac * 100.0,
-            profile.wall_secs
-        );
-    }
-    Ok(())
+        // The busiest tenants, Zipf's head.
+        let mut by_requests: Vec<&slsb_core::AppResult> = run.apps.iter().collect();
+        by_requests.sort_by(|a, b| b.requests.cmp(&a.requests).then(a.app.cmp(&b.app)));
+        println!("\ntop apps by requests:");
+        println!("  app        profile     requests       ok      p99     cost");
+        for a in by_requests.iter().take(5) {
+            println!(
+                "  {:<10} {:<10} {:>9} {:>8} {:>8} {:>8}",
+                a.name,
+                a.profile,
+                a.requests,
+                a.ok,
+                fmt_opt_secs(a.p99_s),
+                format!("${:.4}", a.cost_dollars),
+            );
+        }
+        Ok(fleet_metrics(&run))
+    })
 }
 
 /// `slsb fleet ingest RAW [--out FILE]` — converts a raw trace summary
@@ -1202,6 +1219,101 @@ mod tests {
             .collapsed);
         assert!(parse_profile_args(&strs(&["p.json", "--top", "0"])).is_err());
         assert!(parse_profile_args(&[]).is_err());
+    }
+
+    /// Runs the shared sink helper under `o` and reports whether every
+    /// sink `o` names was written.
+    fn sinks_written(o: &RunOptions) -> bool {
+        run_with_sinks(o, |rec| Ok(rec.is_some()), |_, _| Ok(MetricsRegistry::new())).unwrap();
+        [&o.trace_out, &o.profile_out, &o.metrics_out]
+            .into_iter()
+            .flatten()
+            .all(|p| std::path::Path::new(p).exists())
+    }
+
+    #[test]
+    fn every_run_flag_is_applied_or_rejected_in_every_mode() {
+        // The rule: every `slsb run` flag is honoured or refused in every
+        // mode, never silently dropped. Each flag goes through the same
+        // check and apply steps `cmd_run` uses; an accepted flag must then
+        // change the scenario, the worker budget, the mode or a written
+        // sink.
+        let dir = std::env::temp_dir().join(format!("slsb-flag-matrix-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let plan = FaultPlan {
+            packet_loss: 0.05,
+            ..FaultPlan::none()
+        };
+        std::fs::write(path("faults.json"), serde_json::to_string(&plan).unwrap()).unwrap();
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/");
+        let read = |name: &str| std::fs::read_to_string(format!("{root}{name}")).unwrap();
+        let (single_json, fleet_json) = (read("flash_crowd_serverless.json"), read("fleet_zipf.json"));
+        let mut rejected = Vec::new();
+        for mode in ["single", "sharded", "fleet"] {
+            let flags = [
+                ("--trace", Some(path(&format!("{mode}.jsonl")))),
+                ("--faults", Some(path("faults.json"))),
+                ("--retry", Some("attempts=3".to_string())),
+                ("--slo", Some("p99=0.5".to_string())),
+                ("--seed", Some("9".to_string())),
+                ("--shards", Some("3".to_string())),
+                ("--jobs", Some("2".to_string())),
+                ("--profile", Some(path(&format!("{mode}.profile.json")))),
+                ("--metrics-out", Some(path(&format!("{mode}.metrics.json")))),
+                ("--fleet", None),
+                ("--scale", Some("0.5".to_string())),
+                ("--policy", Some("fixed".to_string())),
+            ];
+            for (flag, value) in flags {
+                let mut args = strs(&["scenario.json", flag]);
+                args.extend(value);
+                let (_, o) = parse_run_args(&args).unwrap();
+                let fleet = mode == "fleet" || o.fleet;
+                if let Err(e) = check_run_flags(fleet, &o) {
+                    assert!(e.contains(flag), "{flag} in {mode} mode: {e:?} must name the flag");
+                    // A refusal says what to do instead, or why.
+                    match flag {
+                        "--jobs" => assert!(e.contains("--shards"), "{e}"),
+                        "--slo" => assert!(e.contains("metrics schema"), "{e}"),
+                        _ => {}
+                    }
+                    rejected.push(format!("{mode} {flag}"));
+                    continue;
+                }
+                let applied = match flag {
+                    "--trace" | "--profile" | "--metrics-out" => sinks_written(&o),
+                    "--fleet" => fleet,
+                    _ if fleet => {
+                        let mut sc = FleetScenario::from_json(&fleet_json).unwrap();
+                        let before = sc.to_json();
+                        let workers = apply_fleet_flags(&mut sc, &o).unwrap();
+                        sc.to_json() != before || workers != 1
+                    }
+                    _ => {
+                        let mut sc = Scenario::from_json(&single_json).unwrap();
+                        sc.executor.shards = if mode == "sharded" { 2 } else { 0 };
+                        let before = sc.to_json();
+                        apply_run_flags(&mut sc, &o).unwrap();
+                        sc.to_json() != before
+                    }
+                };
+                assert!(applied, "{flag} in {mode} mode is accepted but changes nothing");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            rejected,
+            [
+                "single --jobs",
+                "single --scale",
+                "sharded --jobs",
+                "sharded --scale",
+                "fleet --faults",
+                "fleet --retry",
+                "fleet --slo",
+            ]
+        );
     }
 
     #[test]

@@ -8,19 +8,19 @@
 //! behind every success-ratio number in the evaluation.
 
 use crate::batching::{plan_invocations_into, BatchPolicy, InvocationPlan};
+use crate::cell::{self, Cell, CellBuffers, CellEvent, Client, PoolCache, Queue, Slots};
 use crate::plan::{Deployment, PlanError};
-use crate::runner::{parallel_map, Jobs};
 use serde::{Deserialize, Serialize};
-use slsb_model::ModelKind;
-use slsb_obs::{EventKind, FaultKind, MemoryRecorder, Recorder, SpanOutcome, TraceEvent};
+use slsb_obs::{EventKind, FaultKind, Recorder, TraceEvent};
 use slsb_platform::{
     ColdStartBreakdown, FailureReason, FaultInjector, FaultPlan, NetworkProfile, Outcome, Platform,
-    PlatformEvent, PlatformReport, PlatformScheduler, RequestId, ServingRequest, ServingResponse,
+    PlatformReport, RequestId, ServingRequest, ServingResponse,
 };
 use slsb_sim::alloc::{Region, RegionGuard};
-use slsb_sim::{Engine, EventQueue, Kernel, ProfGuard, Seed, SimDuration, SimRng, SimTime, System};
-use slsb_workload::{InputKind, RequestPool, WorkloadTrace};
+use slsb_sim::{Kernel, ProfGuard, Seed, SimDuration, SimRng, SimTime};
+use slsb_workload::{RequestPool, WorkloadTrace};
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Client retry policy: how an invocation is re-issued after a failed or
@@ -300,11 +300,11 @@ pub struct Executor {
     kernel: Kernel,
 }
 
+/// The executor's client-layer events.
 enum ExecEvent {
     /// An invocation's payload reaches the platform. In retry mode the id
     /// encodes the attempt: `id = (attempt - 1) · n_invocations + inv`.
     Deliver(usize),
-    Platform(PlatformEvent),
     /// A platform response reaches the issuing client (retry mode only);
     /// carries an index into the response log.
     ClientRecv(usize),
@@ -324,19 +324,10 @@ struct Resolution {
     predict: SimDuration,
     queued: SimDuration,
     cold_start: Option<ColdStartBreakdown>,
-}
-
-/// Per-request span scratch: `(receive, net_in, exec, net_out)`.
-type SpanParts = (SimTime, SimDuration, SimDuration, SimDuration);
-
-/// Memoized request pool: pools are pure functions of `(kind, size,
-/// samples)`, so a run can reuse the previous run's pool whenever the key
-/// matches instead of regenerating (and reallocating) it.
-struct PoolMemo {
-    kind: InputKind,
-    size: usize,
-    samples: u32,
-    pool: RequestPool,
+    /// The span's exec phase. After retries it is approximated by the
+    /// winning attempt's predict time: the retransmission history makes
+    /// the phase algebra of the single-shot path moot.
+    exec: SimDuration,
 }
 
 /// Run-lifetime buffers, recycled across runs on the same thread.
@@ -356,22 +347,18 @@ struct RunArena {
     payload_per_invocation: Vec<u64>,
     inferences_per_invocation: Vec<u32>,
     net_in: Vec<SimDuration>,
-    deliver_at: Vec<SimTime>,
     deadline: Vec<SimTime>,
     attempt: Vec<u32>,
     resolution: Vec<Option<Resolution>>,
     inv_of: Vec<u64>,
-    spans: Vec<Option<SpanParts>>,
     responses: Vec<(usize, ServingResponse)>,
-    resp_scratch: Vec<ServingResponse>,
-    buffer: Vec<(SimDuration, PlatformEvent)>,
-    pool: Option<PoolMemo>,
+    cell: CellBuffers,
+    pools: PoolCache,
 }
 
 impl RunArena {
     /// Empties every buffer (keeping capacity) ahead of a run. The pool
-    /// memo survives: pools are deterministic in their key, so reuse can
-    /// never change results.
+    /// cache survives.
     fn begin(&mut self) {
         self.client_rngs.clear();
         for c in &mut self.per_client {
@@ -381,15 +368,12 @@ impl RunArena {
         self.payload_per_invocation.clear();
         self.inferences_per_invocation.clear();
         self.net_in.clear();
-        self.deliver_at.clear();
         self.deadline.clear();
         self.attempt.clear();
         self.resolution.clear();
         self.inv_of.clear();
-        self.spans.clear();
         self.responses.clear();
-        self.resp_scratch.clear();
-        self.buffer.clear();
+        self.cell.clear();
     }
 }
 
@@ -400,65 +384,15 @@ thread_local! {
     static ARENA: RefCell<RunArena> = RefCell::new(RunArena::default());
 }
 
-/// Returns the memoized pool for the key, regenerating it on a miss.
-fn pooled(memo: &mut Option<PoolMemo>, kind: InputKind, size: usize, samples: u32) -> &RequestPool {
-    let hit = matches!(
-        memo,
-        Some(m) if m.kind == kind && m.size == size && m.samples == samples
-    );
-    if !hit {
-        *memo = Some(PoolMemo {
-            kind,
-            size,
-            samples,
-            pool: RequestPool::generate(kind, size).with_samples_per_request(samples),
-        });
-    }
-    &memo.as_ref().expect("memo just filled").pool
-}
-
-/// Which requests one [`Executor::run_cell`] replay carries.
-enum CellRequests<'a> {
-    /// The whole trace, assigned to clients round-robin (the legacy,
-    /// unsharded path — byte-identical to the pre-sharding executor).
-    RoundRobin {
-        /// Sorted trace arrivals; record index = position.
-        arrivals: &'a [SimTime],
-    },
-    /// One shard cell: a single client's requests, each tagged with its
-    /// global trace index.
-    Client {
-        /// The owning client id.
-        client: u32,
-        /// `(global trace index, arrival)`, sorted by arrival.
-        arrivals: &'a [(usize, SimTime)],
-    },
-}
-
-/// What one cell (or the whole legacy run) produces, before merging.
-struct CellOutput {
-    records: Vec<RequestRecord>,
-    report: PlatformReport,
-    engine_events: u64,
-    client_faults: u64,
-    retries: u64,
-}
-
-struct ExecSystem<'r> {
-    platform: Platform,
-    /// The run's invocations (send instants + member record indices).
-    plan: &'r InvocationPlan,
+/// The executor's client layer: open-loop clients replaying invocations
+/// against the cell's one platform (slot 0), with the retry machinery on
+/// top.
+struct ExecClient<'r> {
     payload_per_invocation: &'r [u64],
     inferences_per_invocation: &'r [u32],
     /// Response log: invocation idx (attempt-encoded in retry mode) →
     /// platform response.
     responses: &'r mut Vec<(usize, ServingResponse)>,
-    /// Drain scratch, reused every drain so collecting responses does not
-    /// allocate.
-    resp_scratch: &'r mut Vec<ServingResponse>,
-    buffer: &'r mut Vec<(SimDuration, PlatformEvent)>,
-    /// Trace sink threaded into every platform scheduler, if recording.
-    rec: Option<&'r mut dyn Recorder>,
     /// Client-path fault injector (packet loss, request-path jitter).
     client_faults: FaultInjector,
     /// Retry machinery; everything below is inert when it is disabled.
@@ -473,71 +407,18 @@ struct ExecSystem<'r> {
     deadline: &'r [SimTime],
     /// Current attempt per invocation, 1-based (retry mode only).
     attempt: &'r mut [u32],
-    /// Client-side fate per invocation, once fixed (retry mode only).
+    /// Client-side fate per invocation, once fixed: online in retry mode,
+    /// after the run on a traced legacy run (empty otherwise).
     resolution: &'r mut [Option<Resolution>],
     /// Re-sends issued so far, bounded by the policy budget.
     retries_used: u64,
     /// Deterministic jitter source for retry backoffs.
     backoff_rng: SimRng,
+    /// The platform's report, taken at teardown.
+    report: Option<PlatformReport>,
 }
 
-impl ExecSystem<'_> {
-    fn with_platform<R>(
-        &mut self,
-        queue: &mut EventQueue<ExecEvent>,
-        f: impl FnOnce(&mut Platform, &mut PlatformScheduler<'_>) -> R,
-    ) -> R {
-        let r = {
-            let _region = RegionGuard::enter(Region::Platform);
-            let _p = ProfGuard::enter(self.platform.prof_label());
-            let rec = self.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-            let mut sched = PlatformScheduler::with_recorder(queue.now(), self.buffer, rec);
-            f(&mut self.platform, &mut sched)
-        };
-        if !self.buffer.is_empty() {
-            queue.schedule_many_after(
-                self.buffer
-                    .drain(..)
-                    .map(|(d, e)| (d, ExecEvent::Platform(e))),
-            );
-        }
-        r
-    }
-
-    fn drain(&mut self, queue: &mut EventQueue<ExecEvent>) {
-        // Most events complete nothing; probe before paying for scope
-        // guards and the buffer hand-off.
-        if !self.platform.has_responses() {
-            return;
-        }
-        {
-            let _region = RegionGuard::enter(Region::Platform);
-            let _p = ProfGuard::enter(self.platform.prof_label());
-            self.platform.drain_responses_into(self.resp_scratch);
-        }
-        if self.resp_scratch.is_empty() {
-            return;
-        }
-        let retrying = self.retry.enabled();
-        for resp in self.resp_scratch.drain(..) {
-            let receive_at = resp.completed_at + self.response_net;
-            let idx = self.responses.len();
-            self.responses.push((resp.id.0 as usize, resp));
-            if retrying {
-                queue.schedule_at(receive_at, ExecEvent::ClientRecv(idx));
-            }
-        }
-    }
-
-    /// Post-run drain: collects responses without arming client events
-    /// (the engine has stopped; late receipts can no longer matter).
-    fn drain_final(&mut self) {
-        self.platform.drain_responses_into(self.resp_scratch);
-        for resp in self.resp_scratch.drain(..) {
-            self.responses.push((resp.id.0 as usize, resp));
-        }
-    }
-
+impl ExecClient<'_> {
     fn decode(&self, id: usize) -> (usize, u32) {
         let n = self.n_inv.max(1);
         (id % n, (id / n) as u32 + 1)
@@ -550,29 +431,10 @@ impl ExecSystem<'_> {
         self.resolution[inv].is_some() || self.attempt[inv] != attempt
     }
 
-    fn emit_fault(&mut self, at: SimTime, kind: FaultKind) {
-        if let Some(r) = self.rec.as_deref_mut() {
-            if r.enabled() {
-                r.record(&TraceEvent {
-                    at,
-                    kind: EventKind::Fault {
-                        component: None,
-                        kind,
-                    },
-                });
-            }
-        }
-    }
-
     /// One attempt failed (platform failure or per-attempt timeout):
     /// schedule the next attempt if policy, budget, and the overall
     /// deadline allow, otherwise fix the invocation's failure.
-    fn attempt_failed(
-        &mut self,
-        queue: &mut EventQueue<ExecEvent>,
-        inv: usize,
-        reason: FailureReason,
-    ) {
+    fn attempt_failed(&mut self, queue: &mut Queue<ExecEvent>, inv: usize, reason: FailureReason) {
         let attempt = self.attempt[inv];
         let now = queue.now();
         if attempt < self.retry.max_attempts && self.retries_used < self.retry.budget {
@@ -590,10 +452,10 @@ impl ExecSystem<'_> {
                 self.attempt[inv] = attempt + 1;
                 let id = attempt as usize * self.n_inv + inv;
                 let deliver_at = send_at + self.net_in[inv] + self.client_faults.client_jitter();
-                queue.schedule_at(deliver_at, ExecEvent::Deliver(id));
+                queue.schedule_at(deliver_at, CellEvent::Client(ExecEvent::Deliver(id)));
                 queue.schedule_at(
                     send_at + self.retry.attempt_timeout,
-                    ExecEvent::AttemptTimeout(id),
+                    CellEvent::Client(ExecEvent::AttemptTimeout(id)),
                 );
                 return;
             }
@@ -612,68 +474,102 @@ impl ExecSystem<'_> {
             predict: SimDuration::ZERO,
             queued: SimDuration::ZERO,
             cold_start: None,
+            exec: SimDuration::ZERO,
         });
     }
 }
 
-impl System for ExecSystem<'_> {
+impl Client for ExecClient<'_> {
     type Ev = ExecEvent;
-    fn handle(&mut self, queue: &mut EventQueue<ExecEvent>, _at: SimTime, ev: ExecEvent) {
-        let sys = self;
+
+    fn on_event(
+        &mut self,
+        slots: &mut Slots<'_>,
+        queue: &mut Queue<ExecEvent>,
+        _at: SimTime,
+        ev: ExecEvent,
+    ) {
         match ev {
             ExecEvent::Deliver(id) => {
-                let (inv, attempt) = sys.decode(id);
-                if sys.retry.enabled() && sys.stale(inv, attempt) {
+                let (inv, attempt) = self.decode(id);
+                if self.retry.enabled() && self.stale(inv, attempt) {
                     return;
                 }
-                if sys.client_faults.drop_packet() {
+                if self.client_faults.drop_packet() {
                     // The platform never sees the request; the attempt
                     // timeout (retry mode) or the client timeout (legacy
                     // mode) is what the client eventually observes.
-                    sys.emit_fault(queue.now(), FaultKind::PacketLoss);
+                    if let Some(r) = slots.recorder().filter(|r| r.enabled()) {
+                        r.record(&TraceEvent {
+                            at: queue.now(),
+                            kind: EventKind::Fault {
+                                component: None,
+                                kind: FaultKind::PacketLoss,
+                            },
+                        });
+                    }
                     return;
                 }
                 let req = ServingRequest {
                     id: RequestId(id as u64),
                     arrival: queue.now(),
-                    payload_bytes: sys.payload_per_invocation[inv],
-                    inferences: sys.inferences_per_invocation[inv],
+                    payload_bytes: self.payload_per_invocation[inv],
+                    inferences: self.inferences_per_invocation[inv],
                 };
-                sys.with_platform(queue, |p, s| p.submit(s, req));
-            }
-            ExecEvent::Platform(e) => {
-                sys.with_platform(queue, |p, s| p.handle(s, e));
+                slots.submit(queue, 0, req);
             }
             ExecEvent::ClientRecv(idx) => {
-                let (id, resp) = sys.responses[idx];
-                let (inv, attempt) = sys.decode(id);
-                if sys.stale(inv, attempt) {
+                let (id, resp) = self.responses[idx];
+                let (inv, attempt) = self.decode(id);
+                if self.stale(inv, attempt) {
                     return;
                 }
                 match resp.outcome {
                     Outcome::Success => {
-                        sys.resolution[inv] = Some(Resolution {
+                        self.resolution[inv] = Some(Resolution {
                             outcome: Outcome::Success,
                             received_at: queue.now(),
                             predict: resp.predict,
                             queued: resp.queued,
                             cold_start: resp.cold_start,
+                            exec: resp.predict,
                         });
                     }
-                    Outcome::Failure(reason) => {
-                        sys.attempt_failed(queue, inv, reason);
-                    }
+                    Outcome::Failure(reason) => self.attempt_failed(queue, inv, reason),
                 }
             }
             ExecEvent::AttemptTimeout(id) => {
-                let (inv, attempt) = sys.decode(id);
-                if sys.stale(inv, attempt) {
+                let (inv, attempt) = self.decode(id);
+                if self.stale(inv, attempt) {
                     return;
                 }
-                sys.attempt_failed(queue, inv, FailureReason::ClientTimeout);
+                self.attempt_failed(queue, inv, FailureReason::ClientTimeout);
             }
         }
-        sys.drain(queue);
+    }
+
+    /// Logs the response; in retry mode it also reaches the client one
+    /// response-path transfer later, unless the engine has stopped (late
+    /// receipts can no longer matter).
+    fn on_response(
+        &mut self,
+        queue: Option<&mut Queue<ExecEvent>>,
+        _rec: Option<&mut dyn Recorder>,
+        _slot: u32,
+        resp: ServingResponse,
+    ) {
+        let idx = self.responses.len();
+        if let (true, Some(queue)) = (self.retry.enabled(), queue) {
+            queue.schedule_at(
+                resp.completed_at + self.response_net,
+                CellEvent::Client(ExecEvent::ClientRecv(idx)),
+            );
+        }
+        self.responses.push((resp.id.0 as usize, resp));
+    }
+
+    fn close_slot(&mut self, _slot: u32, platform: &Platform, _rec: Option<&mut dyn Recorder>) {
+        self.report = Some(platform.report());
     }
 }
 
@@ -715,17 +611,6 @@ impl Executor {
     /// The installed fault plan.
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
-    }
-
-    /// The request pool an executor builds for `model`.
-    pub fn pool_for(&self, model: ModelKind, samples_per_request: u32) -> RequestPool {
-        let kind = if model.profile().image_input {
-            InputKind::Image
-        } else {
-            InputKind::Text
-        };
-        RequestPool::generate(kind, self.cfg.pool_size)
-            .with_samples_per_request(samples_per_request)
     }
 
     /// Enables intra-run sharding with the given worker budget; see
@@ -811,29 +696,24 @@ impl Executor {
         rec: Option<&mut dyn Recorder>,
     ) -> RunResult {
         let mut rec = rec;
-        let out = ARENA.with(|arena| {
+        let run = ARENA.with(|arena| {
             self.run_cell(
                 deployment,
                 platform,
-                trace.duration(),
-                CellRequests::RoundRobin {
-                    arrivals: trace.arrivals(),
-                },
+                trace,
+                0..self.cfg.clients.max(1) as u32,
+                trace.arrivals().iter().copied().enumerate(),
                 seed,
                 rec.as_deref_mut().map(|r| r as &mut dyn Recorder),
                 &mut arena.borrow_mut(),
             )
         });
-        RunResult {
-            deployment: *deployment,
-            workload: trace.shared_name(),
-            duration: trace.duration(),
-            records: out.records,
-            platform: out.report,
-            engine_events: out.engine_events,
-            client_faults: out.client_faults,
-            retries: out.retries,
+        // The one cell recorded straight into `rec`; close the run there.
+        if let Some(r) = rec.filter(|r| r.enabled()) {
+            let horizon = cell::horizon(trace.duration(), self.cfg.timeout);
+            cell::close_run(r, horizon, run.engine_events, run.records.len() as u64);
         }
+        run
     }
 
     /// Sharded replay: the run splits into one cell per client — no event,
@@ -850,7 +730,6 @@ impl Executor {
         seed: Seed,
         rec: Option<&mut dyn Recorder>,
     ) -> Result<RunResult, PlanError> {
-        let workers = self.cfg.shards.max(1);
         let clients = self.cfg.clients.max(1);
         let tracing = rec.as_deref().is_some_and(|r| r.enabled());
         // Validate the deployment once up front so every cell below can
@@ -867,77 +746,39 @@ impl Executor {
             cells[i % clients].push((i, arrival));
         }
 
-        let ids: Vec<u32> = (0..clients as u32).collect();
-        let mut outs: Vec<(CellOutput, Option<MemoryRecorder>)> =
-            parallel_map(Jobs::new(workers), &ids, |_, &c| {
-                let cell_seed = seed.substream_indexed("shard", u64::from(c));
-                let platform = deployment
-                    .build(cell_seed)
-                    .expect("deployment validated above");
-                let mut cell_rec = if tracing {
-                    Some(MemoryRecorder::new())
-                } else {
-                    None
-                };
-                let out = ARENA.with(|arena| {
-                    self.run_cell(
-                        deployment,
-                        platform,
-                        trace.duration(),
-                        CellRequests::Client {
-                            client: c,
-                            arrivals: &cells[c as usize],
-                        },
-                        cell_seed,
-                        cell_rec.as_mut().map(|r| r as &mut dyn Recorder),
-                        &mut arena.borrow_mut(),
-                    )
-                });
-                (out, cell_rec)
-            });
+        let outs = cell::fan_out(self.cfg.shards.max(1), clients, tracing, |c, cell_rec| {
+            let cell_seed = seed.substream_indexed("shard", c as u64);
+            let platform = deployment
+                .build(cell_seed)
+                .expect("deployment validated above");
+            ARENA.with(|arena| {
+                self.run_cell(
+                    deployment,
+                    platform,
+                    trace,
+                    c as u32..c as u32 + 1,
+                    cells[c].iter().copied(),
+                    cell_seed,
+                    cell_rec.map(|r| r as &mut dyn Recorder),
+                    &mut arena.borrow_mut(),
+                )
+            })
+        });
 
-        // Merge in canonical cell order. Cell c's k-th record is global
-        // request c + k·clients, so records interleave back by index.
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(n);
-        for i in 0..n {
-            records.push(outs[i % clients].0.records[i / clients]);
-        }
-        let reports: Vec<PlatformReport> = outs.iter().map(|(o, _)| o.report.clone()).collect();
+        // Cell c's k-th record is global request c + k·clients, so records
+        // interleave back by index.
+        let records: Vec<RequestRecord> = (0..n)
+            .map(|i| outs[i % clients].0.records[i / clients])
+            .collect();
+        let reports: Vec<PlatformReport> = outs.iter().map(|(o, _)| o.platform.clone()).collect();
         let engine_events: u64 = outs.iter().map(|(o, _)| o.engine_events).sum();
         let client_faults: u64 = outs.iter().map(|(o, _)| o.client_faults).sum();
         let retries: u64 = outs.iter().map(|(o, _)| o.retries).sum();
-
-        if let Some(r) = rec {
-            if r.enabled() {
-                // Replay each cell's buffered trace in cell order, dropping
-                // the per-cell closing summaries in favour of one merged
-                // RunClosed. Events are time-ordered within a cell, not
-                // globally; `slsb trace` views sort where it matters.
-                let _region = RegionGuard::enter(Region::Obs);
-                let _p = ProfGuard::enter("executor/merge");
-                for (_, cell_rec) in &mut outs {
-                    let Some(m) = cell_rec.take() else { continue };
-                    for ev in m.into_events() {
-                        if matches!(ev.kind, EventKind::RunClosed { .. }) {
-                            continue;
-                        }
-                        r.record(&ev);
-                    }
-                }
-                let horizon = SimTime::ZERO
-                    + trace.duration()
-                    + self.cfg.timeout
-                    + SimDuration::from_secs(30);
-                r.record(&TraceEvent {
-                    at: horizon,
-                    kind: EventKind::RunClosed {
-                        engine_events,
-                        requests: n as u64,
-                    },
-                });
-            }
+        if let Some(r) = rec.filter(|r| r.enabled()) {
+            let horizon = cell::horizon(trace.duration(), self.cfg.timeout);
+            let traces = outs.into_iter().filter_map(|(_, t)| t);
+            cell::merge_traces(r, "executor/merge", traces, horizon, engine_events, n as u64);
         }
-
         Ok(RunResult {
             deployment: *deployment,
             workload: trace.shared_name(),
@@ -950,39 +791,38 @@ impl Executor {
         })
     }
 
-    /// Replays one request set against one platform: the whole trace in
-    /// legacy mode, or a single client's shard cell. All run-lifetime
-    /// state lives in `arena`, recycled across calls on the same thread.
+    /// Replays `arrivals` — `(index, arrival)` pairs of `trace` in arrival
+    /// order, dealt round-robin to `clients` — against one platform: the
+    /// whole trace over every client in legacy mode, or one client's
+    /// requests in a shard cell. All run-lifetime state lives in `arena`,
+    /// recycled across calls on the same thread.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn run_cell<'a>(
         &self,
         deployment: &Deployment,
         platform: Platform,
-        duration: SimDuration,
-        requests: CellRequests<'_>,
+        trace: &WorkloadTrace,
+        clients: Range<u32>,
+        arrivals: impl ExactSizeIterator<Item = (usize, SimTime)>,
         seed: Seed,
         rec: Option<&'a mut dyn Recorder>,
         arena: &'a mut RunArena,
-    ) -> CellOutput {
+    ) -> RunResult {
         // Root-attached on purpose: a cell runs inline under `--jobs 1`
         // but on a pool worker otherwise, and the profile tree must not
         // depend on which thread hosts it.
         let _cell = ProfGuard::enter_root("executor/cell");
+        let duration = trace.duration();
         let tracing = rec.as_deref().is_some_and(|r| r.enabled());
         let retrying = self.cfg.retry.enabled();
         let mut platform = platform;
         // An empty plan installs an injector that never draws, so this is
         // unconditional without costing byte-identity.
         platform.set_faults(&self.faults, seed);
-        let n = match &requests {
-            CellRequests::RoundRobin { arrivals } => arrivals.len(),
-            CellRequests::Client { arrivals, .. } => arrivals.len(),
-        };
+        let n = arrivals.len();
         platform.reserve(n);
-        let clients = match &requests {
-            CellRequests::RoundRobin { .. } => self.cfg.clients.max(1),
-            CellRequests::Client { .. } => 1,
-        };
+        let first_client = clients.start;
+        let clients = clients.len();
 
         let arrivals_guard = ProfGuard::enter("executor/arrivals");
         arena.begin();
@@ -996,41 +836,24 @@ impl Executor {
             payload_per_invocation,
             inferences_per_invocation,
             net_in,
-            deliver_at,
             deadline,
             attempt,
             resolution,
             inv_of,
-            spans,
             responses,
-            resp_scratch,
-            buffer,
-            pool: pool_memo,
+            cell: cell_bufs,
+            pools,
         } = arena;
 
-        let input = if deployment.model.profile().image_input {
-            InputKind::Image
-        } else {
-            InputKind::Text
-        };
-        let pool = pooled(
-            pool_memo,
-            input,
-            self.cfg.pool_size,
-            deployment.samples_per_request,
-        );
+        let pool = pools.get(deployment, self.cfg.pool_size);
 
         // Assign requests to clients round-robin (the paper's splitter) and
-        // draw payloads from the pool. A shard cell has exactly one client
-        // slot; its RNG stream is still keyed by the client's id.
-        match &requests {
-            CellRequests::RoundRobin { .. } => client_rngs.extend(
-                (0..clients).map(|c| seed.substream_indexed("client", c as u64).rng()),
-            ),
-            CellRequests::Client { client, .. } => {
-                client_rngs.push(seed.substream_indexed("client", u64::from(*client)).rng());
-            }
-        }
+        // draw payloads from the pool. Each client's RNG stream is keyed by
+        // its id, so a shard cell's one client draws what it would in the
+        // whole run.
+        client_rngs.extend(
+            (0..clients).map(|c| seed.substream_indexed("client", u64::from(first_client) + c as u64).rng()),
+        );
         let mut records: Vec<RequestRecord> = Vec::with_capacity(n);
         let blank = |index: usize, client: u32, arrival: SimTime, payload_bytes: u64| {
             RequestRecord {
@@ -1048,23 +871,13 @@ impl Executor {
         };
         {
             let _rng = ProfGuard::enter("rng");
-            match &requests {
-                CellRequests::RoundRobin { arrivals } => {
-                    for (i, &arrival) in arrivals.iter().enumerate() {
-                        let slot = i % clients;
-                        let payload = pool.pick(&mut client_rngs[slot]);
-                        records.push(blank(i, slot as u32, arrival, payload.size_bytes));
-                        per_client[slot].push((i, arrival));
-                    }
-                }
-                CellRequests::Client { client, arrivals } => {
-                    for (local, &(global, arrival)) in arrivals.iter().enumerate() {
-                        let payload = pool.pick(&mut client_rngs[0]);
-                        records.push(blank(global, *client, arrival, payload.size_bytes));
-                        // Plan members index the *local* record table.
-                        per_client[0].push((local, arrival));
-                    }
-                }
+            for (local, (global, arrival)) in arrivals.enumerate() {
+                let slot = local % clients;
+                let payload = pool.pick(&mut client_rngs[slot]);
+                let client = first_client + slot as u32;
+                records.push(blank(global, client, arrival, payload.size_bytes));
+                // Plan members index the *local* record table.
+                per_client[slot].push((local, arrival));
             }
         }
 
@@ -1105,22 +918,18 @@ impl Executor {
         inferences_per_invocation
             .extend((0..n_inv).map(|i| plan.members(i).len() as u32 * deployment.inference_repeats));
 
-        // First-attempt client-path jitter is drawn here in invocation
-        // order; retry-time draws then follow in event order — both
-        // deterministic.
-        let mut client_faults =
+        let client_faults =
             FaultInjector::new(self.faults.clone(), seed.substream("client-faults"));
         net_in.extend(
             payload_per_invocation
                 .iter()
                 .map(|&bytes| self.cfg.network.transfer_time(bytes)),
         );
-        deliver_at.extend(
-            (0..n_inv).map(|i| plan.send_at(i) + net_in[i] + client_faults.client_jitter()),
-        );
         if retrying {
             deadline.extend((0..n_inv).map(|i| plan.send_at(i) + self.cfg.timeout));
             attempt.resize(n_inv, 1);
+        }
+        if retrying || tracing {
             resolution.resize(n_inv, None);
         }
         // Deliveries (and in retry mode, their timeouts) are scheduled up
@@ -1129,237 +938,138 @@ impl Executor {
         drop(arrivals_guard);
         let engine_guard = ProfGuard::enter("executor/engine");
         let queue_cap = if retrying { 2 * n + 64 } else { n + 64 };
-        let queue = EventQueue::with_kernel_and_capacity(self.kernel, queue_cap);
         responses.reserve(n_inv);
-        let mut engine = Engine::with_queue(
-            ExecSystem {
-                platform,
-                plan: &*plan,
-                payload_per_invocation: payload_per_invocation.as_slice(),
-                inferences_per_invocation: inferences_per_invocation.as_slice(),
-                responses,
-                resp_scratch,
-                buffer,
-                rec,
-                client_faults,
-                retry: self.cfg.retry,
-                n_inv,
-                net_in: net_in.as_slice(),
-                response_net: self.cfg.network.response_time(),
-                deadline: deadline.as_slice(),
-                attempt: attempt.as_mut_slice(),
-                resolution: resolution.as_mut_slice(),
-                retries_used: 0,
-                backoff_rng: seed.substream("retry-backoff").rng(),
-            },
-            queue,
+        cell_bufs.platforms.push(platform);
+        let client = ExecClient {
+            payload_per_invocation: payload_per_invocation.as_slice(),
+            inferences_per_invocation: inferences_per_invocation.as_slice(),
+            responses,
+            client_faults,
+            retry: self.cfg.retry,
+            n_inv,
+            net_in: net_in.as_slice(),
+            response_net: self.cfg.network.response_time(),
+            deadline: deadline.as_slice(),
+            attempt: attempt.as_mut_slice(),
+            resolution: resolution.as_mut_slice(),
+            retries_used: 0,
+            backoff_rng: seed.substream("retry-backoff").rng(),
+            report: None,
+        };
+        let mut cell = Cell::start(
+            cell_bufs,
+            client,
+            rec,
+            self.kernel,
+            queue_cap,
+            duration,
+            self.cfg.timeout,
         );
 
-        let horizon = SimTime::ZERO + duration + self.cfg.timeout + SimDuration::from_secs(30);
-
-        // Platform startup at t = 0.
-        {
-            let sys = &mut engine.system;
-            {
-                let _region = RegionGuard::enter(Region::Platform);
-                let _p = ProfGuard::enter(sys.platform.prof_label());
-                let startup_rec = sys.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-                let mut sched =
-                    PlatformScheduler::with_recorder(SimTime::ZERO, sys.buffer, startup_rec);
-                sys.platform.start(&mut sched, SimTime::ZERO + duration);
-            }
-            engine.queue.schedule_many_after(
-                sys.buffer
-                    .drain(..)
-                    .map(|(d, e)| (d, ExecEvent::Platform(e))),
-            );
-        }
-
-        // Invocation deliveries: network transfer happens on the way in.
-        // In retry mode each first attempt also arms its attempt timeout.
-        // One batched kernel call replaces per-event dispatch; iteration
-        // order matches the legacy per-event loop, so sequence numbers —
-        // and therefore same-instant FIFO ties — are unchanged.
+        // Invocation deliveries: network transfer (plus client-path
+        // jitter, drawn in invocation order; retry-time draws then follow
+        // in event order) happens on the way in. In retry mode each first
+        // attempt also arms its attempt timeout. One batched kernel call
+        // replaces per-event dispatch; iteration order matches the legacy
+        // per-event loop, so sequence numbers — and therefore same-instant
+        // FIFO ties — are unchanged.
+        let (client, queue) = cell.parts();
+        let mut deliver = |idx: usize| {
+            let jitter = client.client_faults.client_jitter();
+            let at = plan.send_at(idx) + client.net_in[idx] + jitter;
+            (at, CellEvent::Client(ExecEvent::Deliver(idx)))
+        };
         if retrying {
             let attempt_timeout = self.cfg.retry.attempt_timeout;
-            engine.queue.schedule_many((0..n_inv).flat_map(|idx| {
-                [
-                    (deliver_at[idx], ExecEvent::Deliver(idx)),
-                    (
-                        plan.send_at(idx) + attempt_timeout,
-                        ExecEvent::AttemptTimeout(idx),
-                    ),
-                ]
+            queue.schedule_many((0..n_inv).flat_map(|idx| {
+                let timeout = CellEvent::Client(ExecEvent::AttemptTimeout(idx));
+                [deliver(idx), (plan.send_at(idx) + attempt_timeout, timeout)]
             }));
         } else {
-            engine.queue.schedule_many(
-                deliver_at
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, &at)| (at, ExecEvent::Deliver(idx))),
-            );
+            queue.schedule_many((0..n_inv).map(deliver));
         }
-
-        engine.run_until(horizon);
-        engine.queue.advance_to(horizon);
-        // Rented capacity is torn down shortly after the workload ends (the
-        // paper estimates hourly-billed systems "based on the actual
-        // execution time"); the extra drain window exists only so late
-        // responses can reach the clients.
-        let teardown = SimTime::ZERO + duration + SimDuration::from_secs(30);
-        engine.system.platform.finalize(teardown.min(horizon));
-        engine.system.drain_final();
+        let engine_events = cell.run();
+        let (client, recorder) = cell.finish();
         drop(engine_guard);
         let _resolve = ProfGuard::enter("executor/resolve");
 
-        // Resolve records from responses.
-        let engine_events = engine.events_processed();
+        // Retry mode resolved invocations online, at client-receive time;
+        // the legacy path resolves each invocation by its one response (and
+        // keeps the resolution only when spans need it). Invocations with
+        // no resolution (still waiting at the horizon) keep the default
+        // client-timeout outcome.
         let response_net = self.cfg.network.response_time();
-        let mut sys = engine.system;
-        let recorder = sys.rec.take();
-        // Per-record span data, populated while resolving; only sized when
-        // a recorder wants it.
-        if tracing {
-            spans.resize(n, None);
-        }
-        if retrying {
-            // Retry mode resolved invocations online, at client-receive
-            // time; apply each invocation's fixed fate to its members.
-            // Invocations with no resolution (still waiting at the horizon)
-            // keep the default client-timeout outcome.
-            for inv_idx in 0..n_inv {
-                let Some(res) = sys.resolution[inv_idx] else {
-                    continue;
+        let resolution = client.resolution;
+        let mut resolve = |inv: usize, res: &Resolution| {
+            for &m in plan.members(inv) {
+                let rec = &mut records[m as usize];
+                rec.predict = res.predict;
+                rec.queued = res.queued;
+                rec.cold_start = res.cold_start;
+                let e2e = res.received_at.saturating_duration_since(rec.arrival);
+                rec.outcome = match res.outcome {
+                    Outcome::Success if e2e <= self.cfg.timeout => {
+                        rec.latency = Some(e2e);
+                        Outcome::Success
+                    }
+                    Outcome::Success => Outcome::Failure(FailureReason::ClientTimeout),
+                    failure => failure,
                 };
-                for &m in sys.plan.members(inv_idx) {
-                    let rec = &mut records[m as usize];
-                    rec.predict = res.predict;
-                    rec.queued = res.queued;
-                    rec.cold_start = res.cold_start;
-                    match res.outcome {
-                        Outcome::Failure(reason) => {
-                            rec.outcome = Outcome::Failure(reason);
-                        }
-                        Outcome::Success => {
-                            let e2e = res.received_at.saturating_duration_since(rec.arrival);
-                            if e2e > self.cfg.timeout {
-                                rec.outcome = Outcome::Failure(FailureReason::ClientTimeout);
-                            } else {
-                                rec.outcome = Outcome::Success;
-                                rec.latency = Some(e2e);
-                            }
-                        }
-                    }
-                    if tracing {
-                        // The winning attempt's exec time is approximated by
-                        // its predict time (the retransmission history makes
-                        // the phase algebra of the single-shot path moot).
-                        spans[m as usize] = Some((
-                            res.received_at,
-                            sys.net_in[inv_idx],
-                            res.predict,
-                            response_net,
-                        ));
-                    }
+            }
+        };
+        if retrying {
+            for (inv, res) in resolution.iter().enumerate() {
+                if let Some(res) = res {
+                    resolve(inv, res);
                 }
             }
         } else {
-            for (inv_idx, resp) in sys.responses.iter() {
-                let receive = resp.completed_at + response_net;
-                let net_in = sys.net_in[*inv_idx];
-                let delivered = sys.plan.send_at(*inv_idx) + net_in;
-                for &m in sys.plan.members(*inv_idx) {
-                    let rec = &mut records[m as usize];
-                    let e2e = receive.saturating_duration_since(rec.arrival);
-                    rec.predict = resp.predict;
-                    rec.queued = resp.queued;
-                    rec.cold_start = resp.cold_start;
-                    match resp.outcome {
-                        Outcome::Failure(reason) => {
-                            rec.outcome = Outcome::Failure(reason);
-                        }
-                        Outcome::Success if e2e > self.cfg.timeout => {
-                            rec.outcome = Outcome::Failure(FailureReason::ClientTimeout);
-                        }
-                        Outcome::Success => {
-                            rec.outcome = Outcome::Success;
-                            rec.latency = Some(e2e);
-                        }
-                    }
-                    if tracing {
-                        // Exec time is what remains of the platform's span after
-                        // its own queueing; exact for successes.
-                        let exec = resp
-                            .completed_at
-                            .saturating_duration_since(delivered + resp.queued);
-                        spans[m as usize] = Some((receive, net_in, exec, response_net));
-                    }
+            for &(inv, resp) in client.responses.iter() {
+                let mut res = Resolution {
+                    outcome: resp.outcome,
+                    received_at: resp.completed_at + response_net,
+                    predict: resp.predict,
+                    queued: resp.queued,
+                    cold_start: resp.cold_start,
+                    exec: SimDuration::ZERO,
+                };
+                resolve(inv, &res);
+                if tracing {
+                    // What remains of the platform's span after its own
+                    // queueing; exact for successes.
+                    let delivered = plan.send_at(inv) + net_in[inv];
+                    res.exec = resp
+                        .completed_at
+                        .saturating_duration_since(delivered + resp.queued);
+                    resolution[inv] = Some(res);
                 }
             }
         }
 
-        if let Some(r) = recorder {
-            if r.enabled() {
-                let _region = RegionGuard::enter(Region::Obs);
-                let _p = ProfGuard::enter("executor/spans");
-                for (m, rec) in records.iter().enumerate() {
-                    let (at, net_in, exec, net_out) = match spans[m] {
-                        Some(s) => s,
-                        // The platform never answered: the client's timeout
-                        // is the whole story, no server-side phases.
-                        None => (
-                            horizon,
-                            SimDuration::ZERO,
-                            SimDuration::ZERO,
-                            SimDuration::ZERO,
-                        ),
-                    };
-                    let outcome = match rec.outcome {
-                        Outcome::Success => SpanOutcome::Success,
-                        Outcome::Failure(FailureReason::QueueFull) => SpanOutcome::QueueFull,
-                        Outcome::Failure(FailureReason::ClientTimeout) => {
-                            SpanOutcome::ClientTimeout
-                        }
-                        Outcome::Failure(FailureReason::Rejected) => SpanOutcome::Rejected,
-                        Outcome::Failure(FailureReason::Throttled) => SpanOutcome::Throttled,
-                        Outcome::Failure(FailureReason::Crashed) => SpanOutcome::Crashed,
-                        Outcome::Failure(FailureReason::RetriesExhausted) => {
-                            SpanOutcome::RetriesExhausted
-                        }
-                    };
-                    r.record(&TraceEvent {
-                        at,
-                        kind: EventKind::RequestSpan {
-                            request: rec.index as u64,
-                            client: rec.client,
-                            invocation: inv_of[m],
-                            arrival: rec.arrival,
-                            batch: rec.sent_at.saturating_duration_since(rec.arrival),
-                            net_in,
-                            queued: rec.queued,
-                            exec,
-                            net_out,
-                            cold: rec.cold_start.is_some(),
-                            outcome,
-                        },
-                    });
-                }
-                r.record(&TraceEvent {
-                    at: horizon,
-                    kind: EventKind::RunClosed {
-                        engine_events,
-                        requests: n as u64,
-                    },
-                });
+        if let Some(r) = recorder.filter(|r| r.enabled()) {
+            let _region = RegionGuard::enter(Region::Obs);
+            let _p = ProfGuard::enter("executor/spans");
+            let horizon = cell::horizon(duration, self.cfg.timeout);
+            for (rec, &inv) in records.iter().zip(inv_of.iter()) {
+                let (at, net_in, exec, net_out) = match resolution[inv as usize] {
+                    Some(res) => (res.received_at, net_in[inv as usize], res.exec, response_net),
+                    // The platform never answered: the client's timeout is
+                    // the whole story, no server-side phases.
+                    None => (horizon, SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO),
+                };
+                cell::record_span(r, at, rec, inv, net_in, exec, net_out);
             }
         }
 
-        CellOutput {
+        RunResult {
+            deployment: *deployment,
+            workload: trace.shared_name(),
+            duration,
             records,
-            report: sys.platform.report(),
+            platform: client.report.expect("the cell closed its one slot"),
             engine_events,
-            client_faults: sys.client_faults.injected(),
-            retries: sys.retries_used,
+            client_faults: client.client_faults.injected(),
+            retries: client.retries_used,
         }
     }
 }
@@ -1367,7 +1077,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slsb_model::RuntimeKind;
+    use slsb_model::{ModelKind, RuntimeKind};
     use slsb_platform::PlatformKind;
 
     use slsb_workload::{MmppSpec, WorkloadTrace};

@@ -1,57 +1,49 @@
-//! Fleet runs: a streaming multi-tenant engine over hundreds of apps.
+//! Fleet runs: hundreds of apps, each on its own platform, fed by one
+//! streaming request source.
 //!
 //! The paper benchmarks one model deployment against one trace. Production
 //! serverless fleets look nothing like that: thousands of mostly-idle apps
 //! whose popularity follows a heavy-tailed (Zipf-like) curve, each with its
 //! own deployment configuration — the regime characterized by the Azure
-//! Functions trace study. This module runs that regime without ever
-//! materializing the merged request log:
+//! Functions trace study.
 //!
 //! - [`FleetScenario`] is the declarative JSON surface: a `fleet` block
 //!   (synthesized knobs or an ingested trace summary), a named profile map
 //!   of [`Deployment`]s, and a client timeout.
-//! - [`FleetRunner`] drives every app's platform instance from the lazy
-//!   k-way merge in [`slsb_workload::FleetArrivalStream`]. Arrival-side
-//!   memory is O(apps + in-flight), not O(requests): the engine holds at
-//!   most one pending merged arrival at a time and pulls the next one only
-//!   when the current one fires.
-//! - Apps are partitioned over a **fixed** number of cells
-//!   ([`FLEET_CELLS`]) by a weighted LPT bin-packing
-//!   ([`FleetPartition`]): apps sorted by expected event weight
-//!   (rate × duration from the resolved plan) are greedily assigned to
-//!   the least-loaded cell. The partition is a pure function of the
-//!   [`FleetPlan`] — never of `--jobs`/`--shards`, which only change how
-//!   many worker threads execute those cells. Combined with per-app RNG
-//!   substreams keyed by global app index
-//!   (`substream_indexed("app", i)`, `substream_indexed("fleet-app", i)`,
-//!   `substream_indexed("app-payload", i)`), every result — per-app
-//!   counters, merged platform report, recorded trace — is byte-identical
-//!   for any worker budget. Under Zipf popularity this shrinks the
-//!   slowest cell from "head app + 1/8 of the tail" (the old
+//! - [`FleetPartition`] assigns apps to a **fixed** number of cells
+//!   ([`FLEET_CELLS`]) by weighted LPT bin-packing on expected event weight
+//!   (rate × duration from the resolved plan). It is a pure function of
+//!   the [`FleetPlan`] — never of `--jobs`/`--shards`, which only change
+//!   how many worker threads execute the cells. Under Zipf popularity this
+//!   shrinks the slowest cell from "head app + 1/8 of the tail" (the old
 //!   `app % cells` rule) to ~1/cells of total weight.
+//! - [`FleetRunner`] runs every cell on the cell engine the executor uses
+//!   too, one platform slot per member app. Only the request source is the
+//!   fleet's own: the lazy k-way merge of the members' arrival substreams
+//!   ([`slsb_workload::FleetArrivalStream`]), pulled in bursts, so
+//!   arrival-side memory is O(apps + burst), not O(requests). Each arrival
+//!   is one invocation (no client batching or retries), delivered after its
+//!   payload's network transfer and resolved against the client timeout
+//!   when its response comes back.
 //!
-//! Unlike the single-app executor there is no client batching and no retry
-//! layer: each trace arrival is one invocation, delivered after its
-//! payload's network transfer, and resolved against the client timeout when
-//! its response (plus response-path network) comes back.
+//! Per-app RNG substreams are keyed by global app index
+//! (`substream_indexed("app", i)`, `substream_indexed("fleet-app", i)`,
+//! `substream_indexed("app-payload", i)`), so every result — per-app
+//! counters, merged platform report, recorded trace — is byte-identical for
+//! any worker budget.
 
+use crate::cell::{self, Cell, CellBuffers, CellEvent, Client, PoolCache, Queue, Slots};
+use crate::executor::RequestRecord;
 use crate::plan::{Deployment, PlanError};
-use crate::runner::{parallel_map, Jobs};
 use serde::{Deserialize, Serialize};
-use slsb_platform::PolicySet;
-use slsb_obs::{
-    EventKind, LogLinearHistogram, MemoryRecorder, MetricsRegistry, Recorder, SpanOutcome,
-    TraceEvent,
-};
+use slsb_obs::{EventKind, LogLinearHistogram, MetricsRegistry, Recorder, TraceEvent};
 use slsb_platform::{
-    FailureReason, NetworkProfile, Outcome, Platform, PlatformEvent, PlatformReport,
-    PlatformScheduler, RequestId, ServingRequest, ServingResponse,
+    FailureReason, NetworkProfile, Outcome, Platform, PlatformReport, PolicySet, RequestId,
+    ServingRequest, ServingResponse,
 };
 use slsb_sim::alloc::{Region, RegionGuard};
-use slsb_sim::{
-    Engine, EventQueue, Kernel, ProfGuard, Seed, SimDuration, SimTime, System,
-};
-use slsb_workload::{FleetError, FleetSpec, FleetSynthesis, InputKind, RequestPool, TraceSummary};
+use slsb_sim::{Kernel, ProfGuard, Seed, SimDuration, SimTime};
+use slsb_workload::{FleetError, FleetSpec, FleetSynthesis, RequestPool, TraceSummary};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -559,22 +551,16 @@ impl FleetRunResult {
 
 /// Runs [`FleetPlan`]s: one platform instance per app, arrivals pulled
 /// lazily from the streaming merge, apps partitioned over fixed cells.
+/// Clients use the executor's defaults: [`NetworkProfile::DEFAULT`] and
+/// a [`RequestPool::DEFAULT_SIZE`] request pool.
 #[derive(Debug, Clone)]
 pub struct FleetRunner {
     workers: usize,
-    network: NetworkProfile,
-    kernel: Kernel,
-    pool_size: usize,
 }
 
 impl Default for FleetRunner {
     fn default() -> Self {
-        FleetRunner {
-            workers: 1,
-            network: NetworkProfile::DEFAULT,
-            kernel: Kernel::default(),
-            pool_size: RequestPool::DEFAULT_SIZE,
-        }
+        FleetRunner { workers: 1 }
     }
 }
 
@@ -584,13 +570,6 @@ impl FleetRunner {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Selects the event-queue kernel.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -633,43 +612,39 @@ impl FleetRunner {
         }
         let cells = FLEET_CELLS.min(n_apps);
         let part = FleetPartition::compute(plan, cells);
-        let tracing = rec.as_ref().map(|r| r.enabled()).unwrap_or(false);
-        let cell_ids: Vec<usize> = (0..cells).collect();
-        let outs = parallel_map(Jobs::new(self.workers), &cell_ids, |_, &cell| {
-            self.run_cell(plan, seed, &part.cells[cell], tracing)
+        let tracing = rec.as_deref().is_some_and(|r| r.enabled());
+        let outs = cell::fan_out(self.workers, cells, tracing, |c, cell_rec| {
+            run_cell(plan, seed, &part.cells[c], cell_rec)
         });
 
-        let mut cell_outs = Vec::with_capacity(cells);
-        for out in outs {
-            cell_outs.push(out?);
-        }
-
-        // Stitch per-app results back into global order via the
-        // partition's member lists (each cell's slots are its members in
-        // ascending global order).
-        let mut apps: Vec<Option<AppCellResult>> = (0..n_apps).map(|_| None).collect();
+        let mut apps = Vec::with_capacity(n_apps);
         let mut engine_events = 0u64;
-        for (c, out) in cell_outs.iter_mut().enumerate() {
-            engine_events += out.engine_events;
-            for (slot, app) in out.apps.drain(..).enumerate() {
-                let g = part.cells[c][slot] as usize;
-                if apps[g].replace(app).is_some() {
-                    return Err(FleetRunError::UnassignedApp { app: g as u32 });
-                }
-            }
+        let mut traces = Vec::with_capacity(cells);
+        for (out, trace) in outs {
+            let (cell_apps, events) = out?;
+            apps.extend(cell_apps);
+            engine_events += events;
+            traces.extend(trace);
         }
-        let apps: Vec<AppCellResult> = apps
-            .into_iter()
+        // Back to global app order. Each app must come from exactly one
+        // cell: the first index holding the wrong app names one that is
+        // missing (a later app sits there) or doubled (an earlier one does).
+        apps.sort_by_key(|(a, _)| a.global);
+        let misplaced = apps
+            .iter()
             .enumerate()
-            .map(|(g, a)| a.ok_or(FleetRunError::UnassignedApp { app: g as u32 }))
-            .collect::<Result<_, _>>()?;
+            .find(|(g, (a, _))| a.global as usize != *g)
+            .map(|(g, (a, _))| a.global.min(g as u32));
+        if let Some(app) = misplaced.or((apps.len() < n_apps).then_some(apps.len() as u32)) {
+            return Err(FleetRunError::UnassignedApp { app });
+        }
 
-        let reports: Vec<PlatformReport> = apps.iter().map(|a| a.report.clone()).collect();
+        let reports: Vec<PlatformReport> = apps.iter().map(|(_, r)| r.clone()).collect();
         let platform = PlatformReport::merge_shards(&reports);
         let mut latency = LogLinearHistogram::default();
         let mut results = Vec::with_capacity(n_apps);
         let mut requests = 0u64;
-        for (i, a) in apps.iter().enumerate() {
+        for (i, (a, report)) in apps.iter().enumerate() {
             requests += a.submitted;
             latency.merge(&a.latency);
             let spec = &plan.spec.apps[i];
@@ -684,34 +659,16 @@ impl FleetRunner {
                 rejected: a.rejected,
                 throttled: a.throttled,
                 crashed: a.crashed,
-                cold_starts: a.report.cold_started,
+                cold_starts: report.cold_started,
                 p50_s: a.latency.quantile(50.0),
                 p99_s: a.latency.quantile(99.0),
-                cost_dollars: a.report.cost.total().as_dollars(),
+                cost_dollars: report.cost.total().as_dollars(),
             });
         }
 
-        let horizon =
-            SimTime::ZERO + plan.spec.duration + plan.timeout + SimDuration::from_secs(30);
-        if tracing {
-            // Replay cell recordings in cell order — a fixed order for a
-            // fixed cell count, so the merged trace is byte-identical for
-            // any worker budget — and close the run once.
-            let _region = RegionGuard::enter(Region::Obs);
-            let _p = ProfGuard::enter("fleet/merge");
-            let rec = rec.expect("tracing implies a recorder");
-            for out in &cell_outs {
-                for ev in &out.records {
-                    rec.record(ev);
-                }
-            }
-            rec.record(&TraceEvent {
-                at: horizon,
-                kind: EventKind::RunClosed {
-                    engine_events,
-                    requests,
-                },
-            });
+        if let Some(r) = rec.filter(|r| r.enabled()) {
+            let horizon = cell::horizon(plan.spec.duration, plan.timeout);
+            cell::merge_traces(r, "fleet/merge", traces, horizon, engine_events, requests);
         }
 
         Ok(FleetRunResult {
@@ -724,202 +681,106 @@ impl FleetRunner {
             engine_events,
         })
     }
+}
 
-    /// Runs one cell: the partition's member apps, each on its own
-    /// platform, fed by the lazy merge of exactly those apps' arrival
-    /// substreams.
-    fn run_cell(
-        &self,
-        plan: &FleetPlan,
-        seed: Seed,
-        globals: &[u32],
-        tracing: bool,
-    ) -> Result<FleetCellOut, PlanError> {
-        let _cell = ProfGuard::enter_root("fleet/cell");
-        let duration = plan.spec.duration;
+/// What one cell returns: each slot's app state and platform report, slot
+/// order (= ascending global index), and the engine event count.
+type CellOut = (Vec<(AppState, PlatformReport)>, u64);
 
-        // Global app index → cell slot, for mapping merged arrivals onto
-        // this cell's apps without a search. Only this cell's members are
-        // meaningful entries.
-        let mut slot_of = vec![0u32; plan.spec.apps.len()];
-        for (slot, &g) in globals.iter().enumerate() {
-            slot_of[g as usize] = slot as u32;
-        }
+/// Runs one cell: the partition's member apps, each on its own platform
+/// slot, fed by the lazy merge of exactly those apps' arrival substreams.
+fn run_cell(
+    plan: &FleetPlan,
+    seed: Seed,
+    globals: &[u32],
+    rec: Option<&mut dyn Recorder>,
+) -> Result<CellOut, PlanError> {
+    let _cell = ProfGuard::enter_root("fleet/cell");
+    let duration = plan.spec.duration;
+    let network = NetworkProfile::DEFAULT;
 
-        // Per-app platforms, payloads, and counters. Pools are pure
-        // functions of (input kind, size, samples): memoize per cell.
-        let setup = ProfGuard::enter("fleet/setup");
-        let mut pools: BTreeMap<(bool, u32), RequestPool> = BTreeMap::new();
-        let mut apps = Vec::with_capacity(globals.len());
-        for &g in globals {
-            let dep = &plan.deployments[g as usize];
-            let mut platform = dep.build(seed.substream_indexed("fleet-app", u64::from(g)))?;
-            let expected = plan.spec.apps[g as usize]
-                .process
-                .expected_requests(duration);
-            platform.reserve(expected.ceil() as usize + 8);
-            let image = dep.model.profile().image_input;
-            let kind = if image { InputKind::Image } else { InputKind::Text };
-            let pool = pools.entry((image, dep.samples_per_request)).or_insert_with(|| {
-                RequestPool::generate(kind, self.pool_size)
-                    .with_samples_per_request(dep.samples_per_request)
-            });
-            // One fixed payload per app: tenants re-send the same artifact.
-            let payload = pool.pick(&mut seed.substream_indexed("app-payload", u64::from(g)).rng());
-            apps.push(AppState {
-                platform,
-                global: g,
-                payload_bytes: payload.size_bytes,
-                inferences: dep.inference_repeats.max(1),
-                net_in: self.network.transfer_time(payload.size_bytes),
-                submitted: 0,
-                resolved: 0,
-                ok: 0,
-                queue_full: 0,
-                timeout: 0,
-                rejected: 0,
-                throttled: 0,
-                crashed: 0,
-                latency: LogLinearHistogram::default(),
-            });
-        }
-        let stream = plan
-            .spec
-            .arrival_stream_for(seed, globals.iter().copied());
-        drop(setup);
-
-        let engine_guard = ProfGuard::enter("fleet/engine");
-        let mut records = tracing.then(MemoryRecorder::new);
-        let mut buffer: Vec<(SimDuration, PlatformEvent)> = Vec::new();
-        let mut resp_scratch: Vec<ServingResponse> = Vec::new();
-        let mut arrival_scratch: Vec<(SimTime, FleetEvent)> = Vec::with_capacity(ARRIVAL_BURST);
-        let queue = EventQueue::with_kernel_and_capacity(
-            self.kernel,
-            (globals.len() * 4 + ARRIVAL_BURST).max(64),
-        );
-        let mut engine = Engine::with_queue(
-            FleetSystem {
-                apps,
-                stream,
-                slot_of,
-                outstanding_arrivals: 0,
-                buffer: &mut buffer,
-                resp_scratch: &mut resp_scratch,
-                arrival_scratch: &mut arrival_scratch,
-                rec: records.as_mut().map(|r| r as &mut dyn Recorder),
-                timeout: plan.timeout,
-                response_net: self.network.response_time(),
-            },
-            queue,
-        );
-
-        let horizon = SimTime::ZERO + duration + plan.timeout + SimDuration::from_secs(30);
-
-        // Platform startups at t = 0, then the first arrival burst. Every
-        // later burst is pulled when the previous one's last arrival
-        // fires: the queue holds at most ARRIVAL_BURST pending arrivals
-        // per cell at any instant.
-        for slot in 0..engine.system.apps.len() {
-            let sys = &mut engine.system;
-            {
-                let _region = RegionGuard::enter(Region::Platform);
-                let _p = ProfGuard::enter(sys.apps[slot].platform.prof_label());
-                let rec = sys.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-                let mut sched = PlatformScheduler::with_recorder(SimTime::ZERO, sys.buffer, rec);
-                sys.apps[slot].platform.start(&mut sched, SimTime::ZERO + duration);
-            }
-            let s = slot as u32;
-            engine.queue.schedule_many_after(
-                sys.buffer
-                    .drain(..)
-                    .map(|(d, e)| (d, FleetEvent::Platform(s, e))),
-            );
-        }
-        engine.system.refill_arrivals(&mut engine.queue);
-
-        engine.run_until(horizon);
-        engine.queue.advance_to(horizon);
-        let engine_events = engine.events_processed();
-        drop(engine_guard);
-
-        // Teardown mirrors the single-app executor: rented capacity is
-        // released shortly after the workload ends; anything still
-        // unresolved at the horizon counts as a client timeout.
-        let _resolve = ProfGuard::enter("fleet/resolve");
-        let teardown = (SimTime::ZERO + duration + SimDuration::from_secs(30)).min(horizon);
-        let sys = &mut engine.system;
-        let mut out_apps = Vec::with_capacity(sys.apps.len());
-        for slot in 0..sys.apps.len() {
-            {
-                let _region = RegionGuard::enter(Region::Platform);
-                let _p = ProfGuard::enter(sys.apps[slot].platform.prof_label());
-                sys.apps[slot].platform.finalize(teardown);
-                sys.apps[slot]
-                    .platform
-                    .drain_responses_into(sys.resp_scratch);
-            }
-            let mut pending = std::mem::take(sys.resp_scratch);
-            for resp in pending.drain(..) {
-                sys.resolve(slot, resp);
-            }
-            *sys.resp_scratch = pending;
-            let a = &mut sys.apps[slot];
-            a.timeout += a.submitted - a.resolved;
-            let report = a.platform.report();
-            if let Some(r) = sys.rec.as_deref_mut() {
-                r.record(&TraceEvent {
-                    at: horizon,
-                    kind: EventKind::AppClosed {
-                        app: a.global,
-                        requests: a.submitted,
-                        cost_micro_dollars: report.cost.total().as_micro_dollars(),
-                    },
-                });
-            }
-            out_apps.push(AppCellResult {
-                submitted: a.submitted,
-                ok: a.ok,
-                queue_full: a.queue_full,
-                timeout: a.timeout,
-                rejected: a.rejected,
-                throttled: a.throttled,
-                crashed: a.crashed,
-                latency: std::mem::take(&mut a.latency),
-                report,
-            });
-        }
-
-        Ok(FleetCellOut {
-            apps: out_apps,
-            engine_events,
-            records: records.map(|r| r.into_events()).unwrap_or_default(),
-        })
+    // Global app index → cell slot, for mapping merged arrivals onto this
+    // cell's apps without a search. Only this cell's members are
+    // meaningful entries.
+    let mut slot_of = vec![0u32; plan.spec.apps.len()];
+    for (slot, &g) in globals.iter().enumerate() {
+        slot_of[g as usize] = slot as u32;
     }
-}
 
-/// Per-app rollup produced inside a cell (global naming happens later).
-struct AppCellResult {
-    submitted: u64,
-    ok: u64,
-    queue_full: u64,
-    timeout: u64,
-    rejected: u64,
-    throttled: u64,
-    crashed: u64,
-    latency: LogLinearHistogram,
-    report: PlatformReport,
-}
+    // Per-app platforms, payloads, and counters.
+    let setup = ProfGuard::enter("fleet/setup");
+    let mut pools = PoolCache::default();
+    let mut bufs = CellBuffers::default();
+    bufs.platforms.reserve(globals.len());
+    let mut apps = Vec::with_capacity(globals.len());
+    for &g in globals {
+        let dep = &plan.deployments[g as usize];
+        let mut platform = dep.build(seed.substream_indexed("fleet-app", u64::from(g)))?;
+        let expected = plan.spec.apps[g as usize]
+            .process
+            .expected_requests(duration);
+        platform.reserve(expected.ceil() as usize + 8);
+        bufs.platforms.push(platform);
+        // One fixed payload per app: tenants re-send the same artifact.
+        let pool = pools.get(dep, RequestPool::DEFAULT_SIZE);
+        let payload = pool.pick(&mut seed.substream_indexed("app-payload", u64::from(g)).rng());
+        apps.push(AppState {
+            global: g,
+            payload_bytes: payload.size_bytes,
+            inferences: dep.inference_repeats.max(1),
+            net_in: network.transfer_time(payload.size_bytes),
+            submitted: 0,
+            resolved: 0,
+            ok: 0,
+            queue_full: 0,
+            timeout: 0,
+            rejected: 0,
+            throttled: 0,
+            crashed: 0,
+            latency: LogLinearHistogram::default(),
+        });
+    }
+    let stream = plan
+        .spec
+        .arrival_stream_for(seed, globals.iter().copied());
+    drop(setup);
 
-struct FleetCellOut {
-    /// One entry per cell slot, slot order (= ascending global index).
-    apps: Vec<AppCellResult>,
-    engine_events: u64,
-    records: Vec<TraceEvent>,
+    let engine_guard = ProfGuard::enter("fleet/engine");
+    let client = FleetClient {
+        apps,
+        stream,
+        slot_of,
+        outstanding_arrivals: 0,
+        arrival_scratch: Vec::with_capacity(ARRIVAL_BURST),
+        timeout: plan.timeout,
+        response_net: network.response_time(),
+        horizon: cell::horizon(duration, plan.timeout),
+        reports: Vec::with_capacity(globals.len()),
+    };
+    let mut cell = Cell::start(
+        &mut bufs,
+        client,
+        rec.map(|r| r as &mut dyn Recorder),
+        Kernel::default(),
+        (globals.len() * 4 + ARRIVAL_BURST).max(64),
+        duration,
+        plan.timeout,
+    );
+    // The first arrival burst. Every later burst is pulled when the
+    // previous one's last arrival fires: the queue holds at most
+    // ARRIVAL_BURST pending arrivals per cell at any instant.
+    let (client, queue) = cell.parts();
+    client.refill_arrivals(queue);
+    let engine_events = cell.run();
+    drop(engine_guard);
+
+    let _resolve = ProfGuard::enter("fleet/resolve");
+    let (client, _) = cell.finish();
+    Ok((client.apps.into_iter().zip(client.reports).collect(), engine_events))
 }
 
 /// Live state of one app inside a cell.
 struct AppState {
-    platform: Platform,
     global: u32,
     payload_bytes: u64,
     inferences: u32,
@@ -936,8 +797,7 @@ struct AppState {
     latency: LogLinearHistogram,
 }
 
-/// Events of the fleet engine.
-#[derive(Debug, Clone)]
+/// The fleet's client-layer events.
 enum FleetEvent {
     /// A merged trace arrival fires for cell slot `.0`; handling it pulls
     /// and schedules the next merged arrival.
@@ -945,11 +805,12 @@ enum FleetEvent {
     /// An arrival's payload finishes its network transfer and reaches slot
     /// `.0`'s platform.
     Deliver(u32),
-    /// A platform-internal event for slot `.0`.
-    Platform(u32, PlatformEvent),
 }
 
-struct FleetSystem<'r> {
+/// The fleet's client layer: the streaming arrival source and per-app
+/// outcome counters. Each arrival is one invocation, resolved against the
+/// client timeout when its response comes back.
+struct FleetClient {
     /// Cell-local apps, slot order.
     apps: Vec<AppState>,
     /// Lazy k-way merge of this cell's arrival substreams.
@@ -959,33 +820,32 @@ struct FleetSystem<'r> {
     /// Arrive events scheduled from the current burst and not yet fired;
     /// when it hits zero the next burst is pulled from the merge.
     outstanding_arrivals: u32,
-    /// Platform scheduling buffer, reused across calls.
-    buffer: &'r mut Vec<(SimDuration, PlatformEvent)>,
-    /// Response drain scratch, reused across calls.
-    resp_scratch: &'r mut Vec<ServingResponse>,
-    /// Arrival-burst scratch, reused across refills (arena-style: grows
-    /// once to ARRIVAL_BURST and is drained in place every refill).
-    arrival_scratch: &'r mut Vec<(SimTime, FleetEvent)>,
-    /// Trace sink threaded into platform schedulers, if recording.
-    rec: Option<&'r mut dyn Recorder>,
+    /// Arrival-burst scratch, reused across refills (grows once to
+    /// ARRIVAL_BURST and is drained in place every refill).
+    arrival_scratch: Vec<(SimTime, CellEvent<FleetEvent>)>,
     /// Per-request client timeout.
     timeout: SimDuration,
     /// Response-path network time.
     response_net: SimDuration,
+    /// When the run stops; per-app closes are stamped here.
+    horizon: SimTime,
+    /// Platform reports of the closed slots, slot order.
+    reports: Vec<PlatformReport>,
 }
 
-impl FleetSystem<'_> {
+impl FleetClient {
     /// Pulls up to [`ARRIVAL_BURST`] merged arrivals into the scratch
     /// buffer and hands them to the kernel in one `schedule_many` call.
     /// The merge yields nondecreasing times, so everything pulled here is
     /// at or after the queue's current instant.
-    fn refill_arrivals(&mut self, queue: &mut EventQueue<FleetEvent>) {
+    fn refill_arrivals(&mut self, queue: &mut Queue<FleetEvent>) {
         debug_assert!(self.arrival_scratch.is_empty());
         while self.arrival_scratch.len() < ARRIVAL_BURST {
             match self.stream.next() {
                 Some((t, global)) => {
                     let slot = self.slot_of[global as usize];
-                    self.arrival_scratch.push((t, FleetEvent::Arrive(slot)));
+                    self.arrival_scratch
+                        .push((t, CellEvent::Client(FleetEvent::Arrive(slot))));
                 }
                 None => break,
             }
@@ -995,65 +855,60 @@ impl FleetSystem<'_> {
             queue.schedule_many(self.arrival_scratch.drain(..));
         }
     }
-    fn with_platform<R>(
-        &mut self,
-        queue: &mut EventQueue<FleetEvent>,
-        slot: usize,
-        f: impl FnOnce(&mut Platform, &mut PlatformScheduler<'_>) -> R,
-    ) -> R {
-        let r = {
-            let _region = RegionGuard::enter(Region::Platform);
-            let _p = ProfGuard::enter(self.apps[slot].platform.prof_label());
-            let rec = self.rec.as_deref_mut().map(|r| r as &mut dyn Recorder);
-            let mut sched = PlatformScheduler::with_recorder(queue.now(), self.buffer, rec);
-            f(&mut self.apps[slot].platform, &mut sched)
-        };
-        if !self.buffer.is_empty() {
-            let s = slot as u32;
-            queue.schedule_many_after(
-                self.buffer
-                    .drain(..)
-                    .map(|(d, e)| (d, FleetEvent::Platform(s, e))),
-            );
-        }
-        r
-    }
+}
 
-    fn drain(&mut self, slot: usize) {
-        // Most events complete nothing (arrivals, deliveries, reclaim
-        // checks), so probe before paying for scope guards and the
-        // buffer hand-off.
-        if !self.apps[slot].platform.has_responses() {
-            return;
+impl Client for FleetClient {
+    type Ev = FleetEvent;
+
+    fn on_event(
+        &mut self,
+        slots: &mut Slots<'_>,
+        queue: &mut Queue<FleetEvent>,
+        at: SimTime,
+        ev: FleetEvent,
+    ) {
+        match ev {
+            FleetEvent::Arrive(slot) => {
+                let a = &mut self.apps[slot as usize];
+                a.submitted += 1;
+                queue.schedule_at(at + a.net_in, CellEvent::Client(FleetEvent::Deliver(slot)));
+                // When the burst drains, pull the next one: arrival-side
+                // memory stays O(apps + burst), independent of the
+                // request count.
+                self.outstanding_arrivals -= 1;
+                if self.outstanding_arrivals == 0 {
+                    self.refill_arrivals(queue);
+                }
+            }
+            FleetEvent::Deliver(slot) => {
+                let a = &self.apps[slot as usize];
+                let arrival = SimTime::from_micros(at.as_micros() - a.net_in.as_micros());
+                let req = ServingRequest {
+                    id: RequestId(arrival.as_micros()),
+                    arrival: at,
+                    payload_bytes: a.payload_bytes,
+                    inferences: a.inferences,
+                };
+                slots.submit(queue, slot, req);
+            }
         }
-        {
-            let _region = RegionGuard::enter(Region::Platform);
-            let _p = ProfGuard::enter(self.apps[slot].platform.prof_label());
-            self.apps[slot]
-                .platform
-                .drain_responses_into(self.resp_scratch);
-        }
-        if self.resp_scratch.is_empty() {
-            return;
-        }
-        // Swap the scratch out so `resolve` can borrow `self` freely;
-        // capacity is preserved across calls either way.
-        let mut pending = std::mem::take(self.resp_scratch);
-        for resp in pending.drain(..) {
-            self.resolve(slot, resp);
-        }
-        *self.resp_scratch = pending;
     }
 
     /// Resolves one response against the client timeout and folds it into
     /// the app's counters (emitting a span when recording). The request id
     /// encodes the trace-arrival instant in microseconds, so end-to-end
     /// time needs no per-request bookkeeping.
-    fn resolve(&mut self, slot: usize, resp: ServingResponse) {
+    fn on_response(
+        &mut self,
+        _queue: Option<&mut Queue<FleetEvent>>,
+        rec: Option<&mut dyn Recorder>,
+        slot: u32,
+        resp: ServingResponse,
+    ) {
         let arrival = SimTime::from_micros(resp.id.0);
         let receive = resp.completed_at + self.response_net;
         let e2e = receive.saturating_duration_since(arrival);
-        let a = &mut self.apps[slot];
+        let a = &mut self.apps[slot as usize];
         a.resolved += 1;
         let outcome = if e2e > self.timeout {
             Outcome::Failure(FailureReason::ClientTimeout)
@@ -1072,82 +927,44 @@ impl FleetSystem<'_> {
             Outcome::Failure(FailureReason::Crashed) => a.crashed += 1,
             Outcome::Failure(FailureReason::RetriesExhausted) => a.timeout += 1,
         }
-        if let Some(r) = self.rec.as_deref_mut() {
-            if r.enabled() {
-                let _region = RegionGuard::enter(Region::Obs);
-                let delivered = arrival + a.net_in;
-                let exec = resp
-                    .completed_at
-                    .saturating_duration_since(delivered + resp.queued);
-                r.record(&TraceEvent {
-                    at: receive,
-                    kind: EventKind::RequestSpan {
-                        request: resp.id.0,
-                        client: a.global,
-                        invocation: resp.id.0,
-                        arrival,
-                        batch: SimDuration::ZERO,
-                        net_in: a.net_in,
-                        queued: resp.queued,
-                        exec,
-                        net_out: self.response_net,
-                        cold: resp.cold_start.is_some(),
-                        outcome: match outcome {
-                            Outcome::Success => SpanOutcome::Success,
-                            Outcome::Failure(FailureReason::QueueFull) => SpanOutcome::QueueFull,
-                            Outcome::Failure(FailureReason::ClientTimeout) => {
-                                SpanOutcome::ClientTimeout
-                            }
-                            Outcome::Failure(FailureReason::Rejected) => SpanOutcome::Rejected,
-                            Outcome::Failure(FailureReason::Throttled) => SpanOutcome::Throttled,
-                            Outcome::Failure(FailureReason::Crashed) => SpanOutcome::Crashed,
-                            Outcome::Failure(FailureReason::RetriesExhausted) => {
-                                SpanOutcome::RetriesExhausted
-                            }
-                        },
-                    },
-                });
-            }
+        if let Some(r) = rec.filter(|r| r.enabled()) {
+            let _region = RegionGuard::enter(Region::Obs);
+            let exec = resp
+                .completed_at
+                .saturating_duration_since(arrival + a.net_in + resp.queued);
+            let record = RequestRecord {
+                index: resp.id.0 as usize,
+                client: a.global,
+                arrival,
+                sent_at: arrival,
+                payload_bytes: a.payload_bytes,
+                outcome,
+                latency: None,
+                cold_start: resp.cold_start,
+                predict: resp.predict,
+                queued: resp.queued,
+            };
+            cell::record_span(r, receive, &record, resp.id.0, a.net_in, exec, self.response_net);
         }
     }
-}
 
-impl System for FleetSystem<'_> {
-    type Ev = FleetEvent;
-
-    fn handle(&mut self, queue: &mut EventQueue<FleetEvent>, at: SimTime, ev: FleetEvent) {
-        match ev {
-            FleetEvent::Arrive(slot) => {
-                let s = slot as usize;
-                self.apps[s].submitted += 1;
-                queue.schedule_at(at + self.apps[s].net_in, FleetEvent::Deliver(slot));
-                // When the burst drains, pull the next one: arrival-side
-                // memory stays O(apps + burst), independent of the
-                // request count.
-                self.outstanding_arrivals -= 1;
-                if self.outstanding_arrivals == 0 {
-                    self.refill_arrivals(queue);
-                }
-            }
-            FleetEvent::Deliver(slot) => {
-                let s = slot as usize;
-                let arrival =
-                    SimTime::from_micros(at.as_micros() - self.apps[s].net_in.as_micros());
-                let req = ServingRequest {
-                    id: RequestId(arrival.as_micros()),
-                    arrival: at,
-                    payload_bytes: self.apps[s].payload_bytes,
-                    inferences: self.apps[s].inferences,
-                };
-                self.with_platform(queue, s, |p, sched| p.submit(sched, req));
-                self.drain(s);
-            }
-            FleetEvent::Platform(slot, e) => {
-                let s = slot as usize;
-                self.with_platform(queue, s, |p, sched| p.handle(sched, e));
-                self.drain(s);
-            }
+    /// Counts the app's still-unresolved requests as client timeouts and
+    /// takes its platform report.
+    fn close_slot(&mut self, slot: u32, platform: &Platform, rec: Option<&mut dyn Recorder>) {
+        let a = &mut self.apps[slot as usize];
+        a.timeout += a.submitted - a.resolved;
+        let report = platform.report();
+        if let Some(r) = rec {
+            r.record(&TraceEvent {
+                at: self.horizon,
+                kind: EventKind::AppClosed {
+                    app: a.global,
+                    requests: a.submitted,
+                    cost_micro_dollars: report.cost.total().as_micro_dollars(),
+                },
+            });
         }
+        self.reports.push(report);
     }
 }
 
@@ -1178,6 +995,7 @@ pub fn fleet_metrics(run: &FleetRunResult) -> MetricsRegistry {
 mod tests {
     use super::*;
     use slsb_model::{ModelKind, RuntimeKind};
+    use slsb_obs::MemoryRecorder;
     use slsb_platform::PlatformKind;
 
     fn profile() -> Deployment {
@@ -1243,8 +1061,8 @@ mod tests {
         assert_eq!(part.cells.len(), FLEET_CELLS);
         let mut seen = vec![0u32; 100];
         for cell in &part.cells {
-            // Slot order within a cell is ascending global index — the
-            // contract the stitch step relies on.
+            // Slot order within a cell is ascending global index, as
+            // `FleetPartition::cells` documents.
             assert!(cell.windows(2).all(|w| w[0] < w[1]));
             for &g in cell {
                 seen[g as usize] += 1;

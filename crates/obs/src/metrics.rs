@@ -49,7 +49,10 @@ impl PartialEq for LogLinearHistogram {
 
 impl Default for LogLinearHistogram {
     /// Covers 1 µs to 10 000 s — every duration this simulator produces —
-    /// with 16 sub-buckets per decade (≤ ~6% relative quantile error).
+    /// with 16 linear sub-buckets per decade, each 0.5625·10^e wide. A
+    /// quantile reports its bucket's upper edge, so its relative error
+    /// depends on where in the decade it lands: up to 56% in the first
+    /// sub-bucket, [10^e, 1.5625·10^e), falling to ~6% in the last.
     fn default() -> Self {
         LogLinearHistogram::with_range(-6, 10, 16)
     }

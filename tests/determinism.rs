@@ -3,8 +3,8 @@
 //! bit-for-bit identical across runs; different seeds differ.
 
 use slsbench::core::{
-    analyze, explore_jobs, replicate_jobs, Deployment, Executor, ExecutorConfig, ExplorerGrid,
-    FleetRunner, FleetScenario, Jobs, RetryPolicy, WorkloadSpec,
+    analyze, explore_jobs, fleet_metrics, replicate_jobs, Deployment, Executor, ExecutorConfig,
+    ExplorerGrid, FleetRunner, FleetScenario, Jobs, RetryPolicy, WorkloadSpec,
 };
 use slsbench::model::{ModelKind, RuntimeKind};
 use slsbench::obs::{trace_view, JsonlRecorder, MemoryRecorder, SpanOutcome};
@@ -548,6 +548,56 @@ fn fleet_recording_is_write_only() {
     // Different seeds must differ (the engine is not ignoring the seed).
     let other = runner.run(&plan, Seed(2718)).unwrap();
     assert_ne!(digest(&plain), digest(&other));
+}
+
+/// FNV-1a 64 over raw bytes.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn fleet_trace_and_metrics_match_their_pins() {
+    // Worker-budget comparisons cannot see a change that moves every
+    // budget the same way, so the fleet engine's outputs are pinned
+    // outright: the FNV-64 of the recorded JSONL trace bytes and of the
+    // pretty `fleet_metrics` snapshot, at two seeds. The values were
+    // recorded from the fleet runner before it moved onto the shared cell
+    // engine.
+    let plan = fleet_scenario().resolve(None).unwrap();
+    let pins: [(u64, usize, u64, u64); 2] = [
+        (3141, 53750, 0x4432_bd9e_6da7_8912, 0x1613_0ee4_fc6f_edad),
+        (2718, 58804, 0x18f8_6704_1fd3_88c8, 0xfdae_7bd2_52c8_bb9c),
+    ];
+    for (seed, lines, trace_fnv, metrics_fnv) in pins {
+        let mut buf = Vec::new();
+        let mut rec = JsonlRecorder::new(&mut buf);
+        let run = FleetRunner::default()
+            .with_workers(2)
+            .run_recorded(&plan, Seed(seed), &mut rec)
+            .unwrap();
+        let written = rec.finish().unwrap() as usize;
+        let metrics = serde_json::to_string_pretty(&fleet_metrics(&run)).unwrap();
+        let got = (
+            seed,
+            written,
+            fnv64(&buf),
+            fnv64(metrics.as_bytes()),
+        );
+        assert_eq!(
+            got,
+            (seed, lines, trace_fnv, metrics_fnv),
+            "seed {seed}: got (seed, events, trace fnv, metrics fnv) = ({}, {}, {:#018x}, {:#018x})",
+            got.0,
+            got.1,
+            got.2,
+            got.3
+        );
+    }
 }
 
 #[test]

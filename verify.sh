@@ -268,6 +268,23 @@ if (( policy_rc == 0 )); then
 fi
 echo "verify.sh: policy zoo rejects unknown names (exit $policy_rc)"
 
+# Run flags a mode cannot honour must fail loudly, not be dropped: fleet
+# runs score no SLOs, and a single-deployment run's worker budget is
+# --shards, not --jobs.
+for dropped in "scenarios/fleet_zipf.json --scale 0.05 --slo p99=0.001" \
+    "scenarios/flash_crowd_serverless.json --jobs 2"; do
+    set +e
+    # shellcheck disable=SC2086
+    ./target/release/slsb run $dropped >/dev/null 2>&1
+    dropped_rc=$?
+    set -e
+    if (( dropped_rc == 0 )); then
+        echo "verify.sh: 'slsb run $dropped' silently dropped a flag (exit 0)" >&2
+        exit 1
+    fi
+    echo "verify.sh: 'slsb run $dropped' is rejected (exit $dropped_rc)"
+done
+
 # Non-default policies must stay worker-budget invariant too: sharded
 # single-run metrics and fleet metrics must be byte-identical across
 # --shards/--jobs under the adaptive hybrid-histogram policy.
